@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedloop import MODES, InfeasibleAtStep, build_offline_dataset, simulate
+from .closedloop import (
+    MODES,
+    InfeasibleAtStep,
+    build_offline_dataset,
+    default_offline_spacing,
+    simulate,
+)
 from .lipschitz import glc_estimate, glc_scaled_estimate
 from .mpc import scenario_from_dict
 from .simplex import INFEASIBLE, lp_solve
@@ -140,8 +146,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
     if any(m in ("offline-nearest", "hybrid") for m in config.modes):
         spacing = config.offline_spacing
         if spacing is None:
-            bb = scenario.XN.bounding_box()
-            spacing = float((bb[:, 1] - bb[:, 0]).max()) / 5.0
+            spacing = default_offline_spacing(scenario)
         offline = build_offline_dataset(scenario, spacing=spacing,
                                         tol=config.tol)
 

@@ -17,7 +17,12 @@ import numpy as np
 
 from . import verify
 from .bench import CSV_HEADER, KAPPA_SOURCES, BenchConfig, run_bench
-from .closedloop import MODES, build_offline_dataset, simulate
+from .closedloop import (
+    MODES,
+    build_offline_dataset,
+    default_offline_spacing,
+    simulate,
+)
 from .lifted import SigmaTable, lift, sigma_table
 from .lipschitz import glc, glc_estimate, glc_scaled, glc_scaled_estimate
 from .mpc import scenario_from_dict
@@ -25,7 +30,7 @@ from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .qpsolver import solve_sample
 from .tolerances import PROFILES
-from .trim import trim_multi, trim_single
+from .trim import trim_multi
 
 
 def _read_json(path):
@@ -101,11 +106,8 @@ def cmd_trim(args) -> int:
     samples = samples_from_json(pathlib.Path(args.samples).read_text())
     if not samples:
         raise SystemExit("samples file is empty")
-    if len(samples) == 1:
-        out = trim_single(p, kappa, samples[0], x, tol=_tol(args))
-    else:
-        out = trim_multi(p, kappa, samples, x,
-                         assume_licq=args.assume_licq, tol=_tol(args))
+    out = trim_multi(p, kappa, samples, x,
+                     assume_licq=args.assume_licq, tol=_tol(args))
     _emit(args, out.to_json(indent=2))
     return 0
 
@@ -153,8 +155,7 @@ def cmd_mpc_sim(args) -> int:
     if args.mode in ("offline-nearest", "hybrid"):
         spacing = args.offline_spacing
         if spacing is None:
-            bb = sc.XN.bounding_box()
-            spacing = float((bb[:, 1] - bb[:, 0]).max()) / 5.0
+            spacing = default_offline_spacing(sc)
         offline = build_offline_dataset(sc, spacing=spacing, tol=_tol(args))
     trace = simulate(sc, _parse_vector(args.x0), args.steps, mode=args.mode,
                      kappa=kappa, offline=offline, tol=_tol(args))

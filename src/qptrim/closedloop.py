@@ -20,7 +20,7 @@ from .lipschitz import glc_scaled_estimate
 from .mpqp import MpQp, SolvedSample
 from .qpsolver import qp_solve
 from .tolerances import DEFAULT, Tolerances
-from .trim import LicqViolation, _nearest, trim_multi, trim_single
+from .trim import LicqViolation, nearest_index, trim_multi, trim_single
 
 MODES = ("full", "warm-start", "adaptive-online", "offline-nearest", "hybrid")
 
@@ -135,6 +135,8 @@ def simulate(
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (scenario.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({scenario.n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 {x.tolist()} is not finite")
     m = scenario.m
     meta = {"mode": mode, "kappa": kappa, "decay": decay,
             "scenario": scenario.name}
@@ -171,7 +173,9 @@ def simulate(
                     outcome = trim_multi(p, kappa, pair, x,
                                          assume_licq=True, tol=tol)
                 except LicqViolation:
-                    outcome = trim_single(p, kappa, _nearest(pair, x), x, tol)
+                    # without the independence assertion trim_multi
+                    # trims against the nearer sample alone
+                    outcome = trim_multi(p, kappa, pair, x, tol=tol)
             kept_count = len(outcome.kept)
             sol = qp_solve(p, x, idx=outcome.kept, tol=tol)
         if not sol.is_optimal:
@@ -204,54 +208,12 @@ class OfflineDataset:
     coverage_is_estimate: bool
 
     def __post_init__(self):
-        self._cells = None
-        if self.geometry.get("kind") == "grid":
-            s = self.geometry["spacing"]
-            anchor = np.asarray(self.geometry["anchor"], dtype=float)
-            self._cells = {}
-            for pos, smp in enumerate(self.samples):
-                key = tuple(int(c) for c in np.round((smp.x_hat - anchor) / s))
-                self._cells[key] = pos
+        self._points = np.array([s.x_hat for s in self.samples])
 
     def nearest(self, x) -> SolvedSample:
         if not self.samples:
             raise EmptyDataset("dataset has no samples")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dists = [float(np.linalg.norm(x - s.x_hat)) for s in self.samples]
-        return self.samples[int(np.argmin(dists))]
-
-    def nearest_grid(self, x) -> SolvedSample:
-        """Index-arithmetic query for grid datasets: expand Chebyshev rings
-        around the rounded cell until no closer point can exist."""
-        if self._cells is None:
-            raise ValueError("index query needs grid geometry")
-        if not self.samples:
-            raise EmptyDataset("dataset has no samples")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s = self.geometry["spacing"]
-        anchor = np.asarray(self.geometry["anchor"], dtype=float)
-        base = np.round((x - anchor) / s).astype(int)
-        n = len(base)
-        best = None  # (dist, position)
-        r = 0
-        while True:
-            # any point in ring r is at least (r - 0.5) * s away
-            if best is not None and (r - 0.5) * s > best[0]:
-                return self.samples[best[1]]
-            found_any = False
-            for key, pos in self._cells.items():
-                if max(abs(key[i] - base[i]) for i in range(n)) != r:
-                    continue
-                found_any = True
-                d = float(np.linalg.norm(x - self.samples[pos].x_hat))
-                if best is None or (d, pos) < best:
-                    best = (d, pos)
-            r += 1
-            if not found_any and best is None and r > max(
-                max(abs(k[i] - base[i]) for i in range(n))
-                for k in self._cells
-            ):
-                raise EmptyDataset("dataset has no samples")
+        return self.samples[nearest_index(self._points, x)]
 
     def to_dict(self) -> dict:
         return {
@@ -269,6 +231,12 @@ class OfflineDataset:
             coverage=data["coverage"],
             coverage_is_estimate=data["coverage_is_estimate"],
         )
+
+
+def default_offline_spacing(scenario) -> float:
+    """Grid spacing of a fifth of the terminal set's widest box side."""
+    bb = scenario.XN.bounding_box()
+    return float((bb[:, 1] - bb[:, 0]).max()) / 5.0
 
 
 def build_offline_dataset(

@@ -81,6 +81,13 @@ def check_sample(p: MpQp, sample: SolvedSample, tol: Tolerances = DEFAULT) -> No
         )
 
 
+def _finite_parameter(x) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError(f"parameter {x.tolist()} is not finite")
+    return x
+
+
 def _distances(p: MpQp, sample: SolvedSample, x) -> np.ndarray:
     """Distance from the sample minimizer to each half-space boundary at x."""
     slack = p.slacks(x, sample.z_star)
@@ -126,6 +133,7 @@ def trim_single(
     row that fails the removal test."""
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    x = _finite_parameter(x)
     check_sample(p, sample, tol)
     keep = _kept_mask(p, kappa, sample, x)
     return TrimOutcome(
@@ -136,38 +144,11 @@ def trim_single(
     )
 
 
-def _nearest(samples, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return min(samples, key=lambda s: float(np.linalg.norm(x - s.x_hat)))
-
-
-def _gate_multi(p, kappa, samples, x, assume_licq, tol):
-    """Shared entry checks for the multi-sample folds.
-
-    Returns a TrimOutcome for the degenerate paths (no samples, one sample,
-    or fallback to the nearest sample when the caller does not assert the
-    independence assumption), or None when the full fold should proceed.
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if not samples:
-        return TrimOutcome(
-            kept=IndexSet.full(p.n_c), removed=IndexSet(), radius=0.0, samples_used=0
-        )
-    if len(samples) == 1:
-        return trim_single(p, kappa, samples[0], x, tol)
-    if not assume_licq:
-        # Folding is only proven safe under a family-wide independence
-        # assumption the code cannot check, so default to the nearest sample.
-        return trim_single(p, kappa, _nearest(samples, x), x, tol)
-    for k, s in enumerate(samples):
-        check_sample(p, s, tol)
-        if not p.licq_holds(s.active):
-            raise LicqViolation(
-                f"sample {k} (x_hat={np.atleast_1d(s.x_hat).tolist()}) has "
-                f"linearly dependent active rows {list(s.active.indices)}"
-            )
-    return None
+def nearest_index(points, x) -> int:
+    """Row of the stacked parameters `points` closest to x in the Euclidean
+    norm; ties go to the first row. A non-finite query raises ValueError."""
+    x = _finite_parameter(x)
+    return int(np.argmin(np.linalg.norm(points - x, axis=1)))
 
 
 def trim_multi(
@@ -181,43 +162,35 @@ def trim_multi(
     """Sequential fold over several solved samples.
 
     Each pass keeps the sample's active rows (within the current set) plus
-    the inactive rows it cannot certify as redundant. With zero or one
-    sample, or without assume_licq, this reduces to trim_single.
+    the inactive rows it cannot certify as redundant. With zero samples
+    every row is kept; with one sample, or without assume_licq, this
+    reduces to trim_single on the nearest sample.
     """
+    if kappa < 0.0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    x = _finite_parameter(x)
     samples = list(samples)
-    early = _gate_multi(p, kappa, samples, x, assume_licq, tol)
-    if early is not None:
-        return early
+    if not samples:
+        return TrimOutcome(
+            kept=IndexSet.full(p.n_c), removed=IndexSet(), radius=0.0, samples_used=0
+        )
+    if len(samples) == 1:
+        return trim_single(p, kappa, samples[0], x, tol)
+    if not assume_licq:
+        # Folding is only proven safe under a family-wide independence
+        # assumption the code cannot check, so default to the nearest sample.
+        near = nearest_index(np.array([s.x_hat for s in samples]), x)
+        return trim_single(p, kappa, samples[near], x, tol)
+    for k, s in enumerate(samples):
+        check_sample(p, s, tol)
+        if not p.licq_holds(s.active):
+            raise LicqViolation(
+                f"sample {k} (x_hat={np.atleast_1d(s.x_hat).tolist()}) has "
+                f"linearly dependent active rows {list(s.active.indices)}"
+            )
     mask = np.ones(p.n_c, dtype=bool)
     for s in samples:
         mask &= _kept_mask(p, kappa, s, x)
-    return TrimOutcome(
-        kept=IndexSet.from_mask(mask),
-        removed=IndexSet.from_mask(~mask),
-        radius=_ball_radius(kappa, samples[-1], x),
-        samples_used=len(samples),
-    )
-
-
-def trim_parallel(
-    p: MpQp,
-    kappa: float,
-    samples,
-    x,
-    assume_licq: bool = False,
-    tol: Tolerances = DEFAULT,
-) -> TrimOutcome:
-    """Per-sample index sets computed independently, then intersected.
-
-    Must agree with trim_multi exactly: the sequential update is an
-    intersection fold, so order cannot matter.
-    """
-    samples = list(samples)
-    early = _gate_multi(p, kappa, samples, x, assume_licq, tol)
-    if early is not None:
-        return early
-    masks = [_kept_mask(p, kappa, s, x) for s in samples]
-    mask = np.logical_and.reduce(masks)
     return TrimOutcome(
         kept=IndexSet.from_mask(mask),
         removed=IndexSet.from_mask(~mask),

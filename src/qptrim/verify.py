@@ -119,22 +119,25 @@ def _random_origin_polytope(rng, n_v, n_c, box_half):
     return LiftedPolyhedron(rows, w, box=(-box_half, box_half))
 
 
-def _grid_sigma(lifted, i, n_per_axis, chunk=200_000):
-    """Dense-grid order-statistic search: min over grid points inside the
-    boxed polyhedron of the (i+1)-th smallest facet distance. Upper-biased
-    by at most the cell half-diagonal (the statistic is 1-Lipschitz)."""
+def _grid_sigma(lifted, n_per_axis, chunk=200_000):
+    """Dense-grid order-statistic search, [sigma_1, sigma_2]: for i = 1, 2
+    the min over grid points inside the boxed polyhedron of the (i+1)-th
+    smallest facet distance. Upper-biased by at most the cell half-diagonal
+    (the statistic is 1-Lipschitz). Grid points are built one chunk at a
+    time, in C order, so memory stays at one chunk."""
     axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in lifted.box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    best = np.inf
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
+    shape = (n_per_axis,) * len(axes)
+    total = n_per_axis ** len(axes)
+    best = np.full(2, np.inf)
+    for start in range(0, total, chunk):
+        cell = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        block = np.stack([ax[c] for ax, c in zip(axes, cell)], axis=1)
         dist = (lifted.w[None, :] - block @ lifted.H_lift.T) / lifted.row_norms[None, :]
         inside = np.all(dist >= 0.0, axis=1)
         if inside.any():
-            kth = np.partition(dist[inside], i, axis=1)[:, i]
-            best = min(best, float(kth.min()))
-    return best
+            kth = np.partition(dist[inside], [1, 2], axis=1)[:, 1:3]
+            best = np.minimum(best, kth.min(axis=0))
+    return best.tolist()
 
 
 def _unit_direction(rng, n):
@@ -424,8 +427,8 @@ def threshold_exactness(seed=0) -> CriterionResult:
         vals = [sigma_milp(L, i) for i in range(1, L.n_c)]
         mono_ok = mono_ok and all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         tables.append((L, vals))
-        for i in (1, 2):
-            grid_dev = max(grid_dev, abs(vals[i - 1] - _grid_sigma(L, i, n_axis)))
+        grid_1, grid_2 = _grid_sigma(L, n_axis)
+        grid_dev = max(grid_dev, abs(vals[0] - grid_1), abs(vals[1] - grid_2))
 
     # radius within sigma_i leaves at most i facets closer than the ball
     contain_viol = 0

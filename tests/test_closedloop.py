@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qptrim.closedloop import (
     ClosedLoopTrace,
@@ -20,8 +22,9 @@ from qptrim.closedloop import (
 )
 from qptrim.lifted import SigmaTable, lift, sigma_table
 from qptrim.lipschitz import glc_scaled
-from qptrim.mpc import condense, terminal_ingredients
+from qptrim.mpc import condense, scenario_from_dict, terminal_ingredients
 from qptrim.mpqp import MpQp
+from qptrim.plants import gen_double_integrator
 from qptrim.polyhedra import box
 
 
@@ -32,6 +35,26 @@ def di_scenario(N=4):
     X, U = box(5.0, dim=2), box(1.0, dim=1)
     P, _, XN = terminal_ingredients(A, B, np.eye(2), [[1.0]], X, U)
     return condense(A, B, np.eye(2), [[1.0]], N, X, U, XN, P=P)
+
+
+@functools.lru_cache(maxsize=None)
+def offline_datasets():
+    """A grid dataset and a centers dataset whose first center is repeated
+    last, so some queries tie exactly."""
+    sc = di_scenario()
+    grid = build_offline_dataset(sc, spacing=0.5)
+    rng = np.random.default_rng(5)
+    picks = rng.choice(len(grid.samples), size=12, replace=False)
+    centers = [0.8 * grid.samples[k].x_hat for k in picks]
+    centers.append(centers[0])
+    return {"grid": grid, "centers": build_offline_dataset(sc, centers=centers)}
+
+
+def first_closest(samples, x):
+    """Position of the first sample at the least distance from x."""
+    dists = [math.sqrt(sum((a - b) ** 2 for a, b in zip(x, s.x_hat)))
+             for s in samples]
+    return dists.index(min(dists))
 
 
 def boundary_point(poly, direction):
@@ -110,6 +133,12 @@ class TestInfeasibility:
         assert exc.value.k == 0
         assert exc.value.trace.status == "infeasible"
         assert exc.value.trace.records == []
+
+    def test_non_finite_x0_rejected(self):
+        sc = di_scenario()
+        for bad in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="not finite"):
+                simulate(sc, bad, 5)
 
     def test_qp_infeasible_at_start(self):
         sc = di_scenario()
@@ -205,16 +234,26 @@ class TestOfflineDataset:
         for s in ds.samples:
             assert sc.XN.contains(s.x_hat, tol=1e-9)
 
-    def test_nearest_scan_vs_grid_index(self):
-        sc = di_scenario()
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["grid", "centers"]), data=st.data())
+    def test_nearest_matches_scan(self, kind, data):
+        ds = offline_datasets()[kind]
+        n = len(ds.samples)
+        if data.draw(st.booleans(), label="midpoint"):
+            # equidistant from two samples: the tie goes to the first
+            i = data.draw(st.integers(0, n - 1), label="i")
+            j = data.draw(st.integers(0, n - 1), label="j")
+            x = 0.5 * (ds.samples[i].x_hat + ds.samples[j].x_hat)
+        else:
+            coord = st.floats(-8.0, 8.0, allow_nan=False)
+            x = np.array(data.draw(st.tuples(coord, coord), label="x"))
+        assert ds.nearest(x) is ds.samples[first_closest(ds.samples, x)]
+
+    def test_nearest_rejects_nan_query(self):
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=5))
         ds = build_offline_dataset(sc, spacing=0.5)
-        rng = np.random.default_rng(5)
-        bb = sc.XN.bounding_box()
-        for _ in range(100):
-            x = rng.uniform(bb[:, 0] - 0.5, bb[:, 1] + 0.5)
-            a = ds.nearest(x)
-            b = ds.nearest_grid(x)
-            assert a is b
+        with pytest.raises(ValueError, match="not finite"):
+            ds.nearest([np.nan, 0.0])
 
     def test_coarse_grid_degenerates_to_center(self):
         sc = di_scenario()
@@ -229,8 +268,6 @@ class TestOfflineDataset:
         assert ds.coverage_is_estimate
         assert ds.coverage > 0
         assert ds.nearest([0.4, -0.2]) is ds.samples[1]
-        with pytest.raises(ValueError):
-            ds.nearest_grid([0.0, 0.0])
 
     def test_infeasible_center_skipped(self):
         sc = di_scenario()
@@ -261,7 +298,6 @@ class TestOfflineDataset:
         assert ds2.coverage == ds.coverage
         x = [0.3, -0.4]
         assert np.array_equal(ds2.nearest(x).x_hat, ds.nearest(x).x_hat)
-        assert np.array_equal(ds2.nearest_grid(x).x_hat, ds.nearest(x).x_hat)
 
 
 def synthetic_single_row(w=10.0):

@@ -12,7 +12,6 @@ from qptrim.trim import (
     check_sample,
     removal_test,
     trim_multi,
-    trim_parallel,
     trim_single,
 )
 
@@ -106,6 +105,12 @@ class TestTrimSingle:
             out = trim_single(p, glc(p).kappa, s, x0)
             assert out.kept == s.active
             assert out.radius == 0.0
+
+    def test_non_finite_parameter_rejected(self, hp, hp_samples):
+        s1, _ = hp_samples
+        for bad in ([np.nan], [np.inf], [-np.inf]):
+            with pytest.raises(ValueError, match="not finite"):
+                trim_single(hp, 1.0, s1, bad)
 
     def test_huge_kappa_keeps_everything(self, hp, hp_samples):
         s1, _ = hp_samples
@@ -215,6 +220,13 @@ class TestTrimMulti:
         assert out.kept == IndexSet.full(2)
         assert out.samples_used == 0 and out.radius == 0.0
 
+    def test_non_finite_parameter_rejected(self, hp, hp_samples):
+        # every path of the fold, including the nearest-sample fallback
+        for samples, licq in (([], False), (list(hp_samples), False),
+                              (list(hp_samples), True)):
+            with pytest.raises(ValueError, match="not finite"):
+                trim_multi(hp, 1.0, samples, [np.nan], assume_licq=licq)
+
     def test_more_samples_never_keep_more(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -269,32 +281,6 @@ class TestTrimMulti:
         good = solve_sample(p, [1.0])
         with pytest.raises(LicqViolation, match="sample 0"):
             trim_multi(p, 1.0, [bad, good], [0.5], assume_licq=True)
-
-
-class TestTrimParallel:
-    def test_matches_multi_exactly(self):
-        rng = np.random.default_rng(14)
-        for _ in range(8):
-            p, x0, samples = _licq_case(rng, q=int(rng.integers(2, 6)))
-            if len(samples) < 2:
-                continue
-            kappa = glc(p).kappa
-            x = x0 + rng.normal(scale=0.4, size=p.n_x)
-            a = trim_multi(p, kappa, samples, x, assume_licq=True)
-            b = trim_parallel(p, kappa, samples, x, assume_licq=True)
-            assert a.kept == b.kept
-            assert a.removed == b.removed
-            assert a.radius == b.radius
-            assert a.samples_used == b.samples_used
-
-    def test_empty_fold_gives_full_set(self, hp):
-        out = trim_parallel(hp, 1.0, [], [-2.0])
-        assert out.kept == IndexSet.full(2)
-
-    def test_gate_matches_multi_without_assertion(self, hp, hp_samples):
-        a = trim_multi(hp, 1.0, list(hp_samples), [-2.4])
-        b = trim_parallel(hp, 1.0, list(hp_samples), [-2.4])
-        assert a.kept == b.kept and a.samples_used == b.samples_used == 1
 
 
 class TestCertify:

@@ -72,6 +72,20 @@ def test_random_mpqp_is_feasible_at_center():
         assert sol.is_optimal
 
 
+def test_grid_sigma_chunks_match_whole_grid():
+    # reference: materialize every grid point at once and sort each row
+    rng = np.random.default_rng(3)
+    L = verify._random_origin_polytope(rng, 3, 7, 1.2)
+    axes = [np.linspace(lo, hi, 23) for lo, hi in L.box]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    dist = (L.w[None, :] - pts @ L.H_lift.T) / L.row_norms[None, :]
+    ordered = np.sort(dist[np.all(dist >= 0.0, axis=1)], axis=1)
+    expected = [float(ordered[:, 1].min()), float(ordered[:, 2].min())]
+    # a chunk that divides 23^3 unevenly, so the last chunk is partial
+    assert verify._grid_sigma(L, 23, chunk=1000) == expected
+    assert verify._grid_sigma(L, 23) == expected
+
+
 def test_trace_deviation_zero_against_itself():
     from qptrim.closedloop import simulate
     from qptrim.mpc import scenario_from_dict
