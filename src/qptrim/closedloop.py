@@ -112,7 +112,7 @@ def simulate(
 
     Step 0 always solves the full problem. Later steps pick rows per mode:
       full             re-solve everything
-      warm-start       full rows, seeded with the previous solution
+      warm-start       full rows, seeded with the previous active set
       adaptive-online  trim against the previous step's sample
       offline-nearest  trim against the nearest offline sample
       hybrid           trim against both; on a degenerate joint active set,
@@ -160,7 +160,7 @@ def simulate(
             sol = qp_solve(p, x, tol=tol)
             kept_count = p.n_c
         elif mode == "warm-start":
-            sol = qp_solve(p, x, warm=(prev.z_star, prev.active), tol=tol)
+            sol = qp_solve(p, x, warm=prev.active, tol=tol)
             kept_count = p.n_c
         else:
             if mode == "adaptive-online":

@@ -1,10 +1,14 @@
-"""Primal active-set solver for strictly convex QPs over constraint subsets.
+"""Dual active-set solver for strictly convex QPs over constraint subsets.
 
 Solves  min_z 0.5 z' H z + x' F z  s.t.  G_I z <= S_I x + w_I  for an index
-subset I. Starts from the unconstrained minimizer when feasible, otherwise
-from a phase-1 LP point. Working-set KKT systems fall back to least squares
-when the active gradients are linearly dependent, so degenerate optima are
-still solved (with minimum-norm multipliers) rather than rejected.
+subset I with the method of Goldfarb and Idnani (1983, Math. Programming
+27). It starts at the unconstrained minimizer, which is dual feasible, and
+adds the most violated kept row until none is violated, dropping a working
+row whenever its multiplier reaches zero on the way. No LP is needed: an
+empty feasible set shows as a violated row that depends on the working
+rows with no multiplier left to shift onto. Every iterate satisfies
+stationarity, z = -H^-1 (F' x + G' lam), so z is recomputed from the
+multipliers rather than accumulated.
 """
 
 from dataclasses import dataclass
@@ -12,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpqp import IndexSet, MpQp, SolvedSample
-from .simplex import OPTIMAL as LP_OPTIMAL
-from .simplex import lp_solve
 from .tolerances import DEFAULT, Tolerances
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
+
+# relative size below which a curvature or a multiplier shift is rounding
+ROUNDING = 1e-10
 
 
 @dataclass
@@ -33,140 +38,96 @@ class QpSolution:
         return self.status == OPTIMAL
 
 
-def _eqp(p: MpQp, g, rows_w, b_w):
-    """Equality-constrained minimizer over working set rows_w.
-
-    Returns (z, lam). Uses the H-Schur complement; singular working-set Gram
-    matrices (dependent gradients) drop to least squares.
-    """
-    if len(rows_w) == 0:
-        return -p.h_solve(g), np.zeros(0)
-    A = p.G[rows_w]
-    Y = p.h_solve(A.T)          # H^-1 A'
-    M = A @ Y
-    rhs = -(b_w + A @ p.h_solve(g))
-    try:
-        lam = np.linalg.solve(M, rhs)
-        if not np.all(np.isfinite(lam)):
-            raise np.linalg.LinAlgError
-        # reject wildly inaccurate solves from near-singular M
-        if np.abs(M @ lam - rhs).max() > 1e-8 * (1.0 + np.abs(rhs).max()):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        lam = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    z = -p.h_solve(g + A.T @ lam)
-    return z, lam
-
-
-def _phase1_point(p: MpQp, rows, b, feas_slack):
-    """Feasible z for G_rows z <= b, or None when none exists."""
-    nz = p.n_z
-    m = len(rows)
-    # min sum(s) s.t. G z - s <= b, s >= 0
-    C = np.hstack([p.G[rows], -np.eye(m)])
-    cost = np.concatenate([np.zeros(nz), np.ones(m)])
-    bounds = [(None, None)] * nz + [(0.0, None)] * m
-    res = lp_solve(cost, C, b, bounds)
-    if res.status != LP_OPTIMAL:
-        return None
-    z = res.x[:nz]
-    if (p.G[rows] @ z - b).max(initial=0.0) > feas_slack:
-        return None
-    return z
+def _step(G, Y, work, j):
+    """Primal direction d = Y_j - Y_W r of adding row j to the working rows,
+    and the multiplier shift r = (G_W Y_W)^-1 G_W Y_j."""
+    if not work:
+        return Y[:, j], np.zeros(0)
+    r = np.linalg.solve(G[work] @ Y[:, work], G[work] @ Y[:, j])
+    return Y[:, j] - Y[:, work] @ r, r
 
 
 def qp_solve(
     p: MpQp,
     x,
     idx: IndexSet | None = None,
-    warm=None,
+    warm: IndexSet | None = None,
     tol: Tolerances = DEFAULT,
     max_iter: int | None = None,
 ) -> QpSolution:
     """Solve the trimmed QP at parameter x over constraint subset idx.
 
-    warm is an optional (z_guess, active_guess) pair; the active guess seeds
-    the working set when its equality solution is feasible, which typically
-    finishes in one or two iterations near a previous solution.
+    warm is an optional guess of the active set, typically the previous
+    solution's. Its kept rows, less any that depend on the others, start
+    the working set at their equality solution; the most negative
+    multiplier is dropped until all are nonnegative. Every working-set
+    solve counts in `iterations`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if idx is None:
-        idx = IndexSet.full(p.n_c)
-    rows = idx.zero_based()
-    g = p.F.T @ x
-    b = p.rhs(x)[rows]
-    b_scale = 1.0 + (np.abs(b).max() if b.size else 0.0)
-    feas_slack = tol.feas * b_scale
+    rows = np.arange(p.n_c) if idx is None else idx.zero_based()
+    G, Y, b = p.G[rows], p.hi_gt[:, rows], p.rhs(x)[rows]
+    quads = p.g_quads[rows]
+    feas_slack = tol.feas * (1.0 + np.abs(b).max(initial=0.0))
     if max_iter is None:
         max_iter = 50 * (p.n_z + len(rows)) + 100
 
-    def active_in_idx(z_final):
-        slack = b - p.G[rows] @ z_final if len(rows) else np.zeros(0)
-        near = np.abs(slack) <= tol.act * (1.0 + np.abs(p.w[rows]))
-        return IndexSet(np.asarray(rows)[near] + 1)
-
+    z0 = -p.hi_ft @ x
+    z = z0
+    lam = np.zeros(len(rows))
+    work: list = []          # working rows, as positions in `rows`
     iterations = 1
-    z = -p.h_solve(g)
-    work: list = []
-    if len(rows) == 0 or (p.G[rows] @ z - b).max(initial=-np.inf) <= feas_slack:
-        lam = np.zeros(len(rows))
-        return QpSolution(z, lam, active_in_idx(z), OPTIMAL, iterations)
-
-    started = False
     if warm is not None:
-        z_guess, active_guess = warm
-        if active_guess is not None and len(active_guess):
-            cand = [r for r in active_guess.zero_based() if r in set(rows)]
-            if cand:
-                iterations += 1
-                pos = {r: k for k, r in enumerate(rows)}
-                zw, _ = _eqp(p, g, np.array(cand), b[[pos[r] for r in cand]])
-                if (p.G[rows] @ zw - b).max(initial=0.0) <= feas_slack:
-                    z, work, started = zw, list(cand), True
-        if not started and z_guess is not None:
-            zg = np.asarray(z_guess, dtype=float)
-            if (p.G[rows] @ zg - b).max(initial=0.0) <= feas_slack:
-                z, work, started = zg, [], True
-    if not started:
-        z0 = _phase1_point(p, rows, b, feas_slack)
-        if z0 is None:
-            return QpSolution(None, None, None, INFEASIBLE, iterations)
-        z, work = z0, []
+        for j in np.flatnonzero(np.isin(rows, warm.zero_based())):
+            iterations += bool(work)     # _step solves once work is set
+            d, _ = _step(G, Y, work, j)
+            if G[j] @ d > ROUNDING * quads[j]:
+                work.append(int(j))
+        while work:
+            iterations += 1
+            lam_w = np.linalg.solve(G[work] @ Y[:, work],
+                                    G[work] @ z0 - b[work])
+            if lam_w.min() >= 0.0:
+                lam[work] = lam_w
+                break
+            del work[int(np.argmin(lam_w))]
+        z = z0 - Y[:, work] @ lam[work]
 
-    pos = {r: k for k, r in enumerate(rows)}
-    kkt_slack = tol.kkt * b_scale
-    step_tol = 1e-11
-
+    j = None                 # the violated row being added
     for _ in range(max_iter):
+        if j is None:
+            slack = b - G @ z
+            viol = -slack
+            if work:
+                viol[work] = -np.inf
+            if viol.max(initial=-np.inf) <= feas_slack:
+                near = np.abs(slack) <= tol.act * (1.0 + np.abs(p.w[rows]))
+                return QpSolution(z, np.maximum(lam, 0.0),
+                                  IndexSet(rows[near] + 1), OPTIMAL, iterations)
+            j = int(np.argmax(viol))
         iterations += 1
-        w_arr = np.asarray(sorted(work), dtype=int)
-        z_eq, lam_w = _eqp(p, g, w_arr, b[[pos[r] for r in w_arr]])
-        direction = z_eq - z
-        if np.abs(direction).max(initial=0.0) <= step_tol * (1.0 + np.abs(z).max(initial=0.0)):
-            if lam_w.size == 0 or lam_w.min() >= -kkt_slack:
-                lam = np.zeros(len(rows))
-                for r, lv in zip(w_arr, lam_w):
-                    lam[pos[r]] = max(lv, 0.0)
-                return QpSolution(z_eq, lam, active_in_idx(z_eq), OPTIMAL, iterations)
-            drop = w_arr[int(np.argmin(lam_w))]
-            work.remove(drop)
-            continue
-        # step toward z_eq, blocked by the first inactive constraint hit
-        free = np.array([r for r in rows if r not in work], dtype=int)
-        alpha, blocker = 1.0, None
-        if free.size:
-            a = p.G[free] @ direction
-            s = b[[pos[r] for r in free]] - p.G[free] @ z
-            hit = a > 1e-12
-            if hit.any():
-                ratios = np.maximum(s[hit], 0.0) / a[hit]
-                k = int(np.argmin(ratios))
-                if ratios[k] < alpha:
-                    alpha = float(ratios[k])
-                    blocker = int(free[hit][k])
-        z = z + alpha * direction
-        if blocker is not None:
-            work.append(blocker)
+        d, r = _step(G, Y, work, j)
+        curvature = G[j] @ d
+        shift = np.flatnonzero(r > ROUNDING * np.abs(r).max(initial=0.0))
+        ratios = lam[work][shift] / r[shift]
+        t_drop = ratios.min(initial=np.inf)
+        if curvature > ROUNDING * quads[j]:
+            t_full = max(G[j] @ z - b[j], 0.0) / curvature
+        elif shift.size:
+            t_full = np.inf
+        else:
+            return QpSolution(None, None, None, INFEASIBLE, iterations)
+        t = min(t_drop, t_full)
+        lam[work] -= t * r
+        lam[j] += t
+        if t_full <= t_drop:
+            work.append(j)
+            j = None
+        else:
+            lam[work.pop(int(shift[np.argmin(ratios)]))] = 0.0
+        # summing over the rows that hold multipliers, not over all kept
+        # rows, gives a trimmed solve the same rounding as the full one
+        held = work if j is None else work + [j]
+        z = z0 - Y[:, held] @ lam[held]
     raise ArithmeticError("active-set iteration limit exceeded")
 
 

@@ -146,8 +146,12 @@ def trim_single(
 
 def nearest_index(points, x) -> int:
     """Row of the stacked parameters `points` closest to x in the Euclidean
-    norm; ties go to the first row. A non-finite query raises ValueError."""
+    norm; ties go to the first row. A non-finite query, or one whose length
+    is not the rows', raises ValueError."""
     x = _finite_parameter(x)
+    if x.shape != points.shape[1:]:
+        raise ValueError(f"parameter has {x.size} entries, expected "
+                         f"{points.shape[1]}")
     return int(np.argmin(np.linalg.norm(points - x, axis=1)))
 
 

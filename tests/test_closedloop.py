@@ -255,6 +255,12 @@ class TestOfflineDataset:
         with pytest.raises(ValueError, match="not finite"):
             ds.nearest([np.nan, 0.0])
 
+    def test_nearest_rejects_query_of_wrong_length(self):
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=3))
+        ds = build_offline_dataset(sc, spacing=0.5)
+        with pytest.raises(ValueError, match="expected 2"):
+            ds.nearest([0.3])
+
     def test_coarse_grid_degenerates_to_center(self):
         sc = di_scenario()
         ds = build_offline_dataset(sc, spacing=100.0)

@@ -141,7 +141,7 @@ class TestWarmStart:
             assert cold.is_optimal
             x2 = x + 1e-3 * rng.normal(size=p.n_x)
             cold2 = qp_solve(p, x2)
-            warm2 = qp_solve(p, x2, warm=(cold.z_star, cold.active))
+            warm2 = qp_solve(p, x2, warm=cold.active)
             if not (cold2.is_optimal and warm2.is_optimal):
                 continue
             assert np.abs(warm2.z_star - cold2.z_star).max() <= 1e-7 * (
