@@ -14,7 +14,7 @@ from qptrim import BenchConfig, gen_oscillating_masses, run_bench
 
 config = BenchConfig(
     scenario=gen_oscillating_masses(3, h=0.5, N=10),
-    modes=("full", "warm-start", "adaptive-online"),
+    modes=("full", "adaptive-online"),
     n_draws=5,
     steps=50,
     seed=0,

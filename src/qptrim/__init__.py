@@ -5,8 +5,8 @@ The package solves problems of the form
     min_z  0.5 z'Hz + x'Fz   s.t.  G z <= S x + w
 
 and removes inequality rows that a Lipschitz argument certifies inactive
-near previously solved parameters, so warm-started instances stay exact
-while shrinking. The MPC layer condenses linear-quadratic scenarios into
+near previously solved parameters, so each new instance stays exact while
+it shrinks. The MPC layer condenses linear-quadratic scenarios into
 this form and runs receding-horizon loops in several trimming modes.
 """
 

@@ -19,12 +19,15 @@ from .closedloop import (
     default_offline_spacing,
     simulate,
 )
-from .lipschitz import glc_estimate, glc_scaled_estimate
+from .lipschitz import KAPPA_FORMULAS, resolve_kappa
 from .mpc import scenario_from_dict
 from .simplex import INFEASIBLE, lp_solve
 from .tolerances import DEFAULT, Tolerances
+from .trim import check_kappa
 
-KAPPA_SOURCES = ("formula", "scaled-formula", "user")
+# largest state or input deviation from the full-solve baseline that
+# still counts as the same trajectory
+EQUIV_TOL = 1e-8
 
 
 @dataclass
@@ -35,10 +38,8 @@ class BenchConfig:
     steps: int = 100
     seed: int = 0
     out_dir: str | None = None
-    kappa_source: str = "scaled-formula"
-    kappa: float | None = None            # only read for kappa_source "user"
+    kappa: str | float = "scaled-formula"  # spec, see resolve_kappa
     offline_spacing: float | None = None  # default: a fifth of the XN box
-    equiv_tol: float = 1e-8
     tol: Tolerances = DEFAULT
 
     def __post_init__(self):
@@ -52,10 +53,8 @@ class BenchConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {self.n_draws}")
-        if self.kappa_source not in KAPPA_SOURCES:
-            raise ValueError(f"kappa_source must be one of {KAPPA_SOURCES}")
-        if self.kappa_source == "user" and self.kappa is None:
-            raise ValueError("kappa_source 'user' needs an explicit kappa")
+        if self.kappa not in KAPPA_FORMULAS:
+            check_kappa(float(self.kappa))
 
 
 @dataclass
@@ -125,21 +124,13 @@ def draw_initial_states(scenario, n_draws, seed, max_tries=100_000):
     return draws
 
 
-def resolve_kappa(config: BenchConfig, p) -> float:
-    if config.kappa_source == "formula":
-        return glc_estimate(p).kappa
-    if config.kappa_source == "scaled-formula":
-        return glc_scaled_estimate(p).kappa
-    return float(config.kappa)
-
-
 def run_bench(config: BenchConfig) -> BenchResult:
     scen_data = config.scenario
     if not isinstance(scen_data, dict):
         scen_data = json.loads(pathlib.Path(scen_data).read_text())
     scenario = scenario_from_dict(scen_data)
     p = scenario.condensed
-    kappa = resolve_kappa(config, p)
+    kappa = resolve_kappa(config.kappa, p)
     draws = draw_initial_states(scenario, config.n_draws, config.seed)
 
     offline = None
@@ -171,7 +162,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                 float(np.abs(trace.states() - ref.states()).max()),
                 float(np.abs(trace.inputs() - ref.inputs()).max()),
             )
-            if dev > config.equiv_tol:
+            if dev > EQUIV_TOL:
                 violations.append({"mode": mode, "draw": i, "deviation": dev})
 
     rows = []
@@ -206,7 +197,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
         summary = {
             "scenario": scenario.name,
             "kappa": kappa,
-            "kappa_source": config.kappa_source,
+            "kappa_spec": config.kappa,
             "seed": config.seed,
             "failures": failures,
             "violations": violations,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .bench import CSV_HEADER, KAPPA_SOURCES, BenchConfig, run_bench
+from .bench import CSV_HEADER, BenchConfig, run_bench
 from .closedloop import (
     MODES,
     build_offline_dataset,
@@ -24,7 +24,7 @@ from .closedloop import (
     simulate,
 )
 from .lifted import SigmaTable, lift, sigma_table
-from .lipschitz import glc, glc_estimate, glc_scaled, glc_scaled_estimate
+from .lipschitz import glc, glc_scaled, resolve_kappa
 from .mpc import scenario_from_dict
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
@@ -38,7 +38,11 @@ def _read_json(path):
 
 
 def _load_problem(path) -> MpQp:
-    return MpQp.from_dict(_read_json(path))
+    p = MpQp.from_dict(_read_json(path))
+    problems = p.validate()
+    if problems:
+        raise SystemExit(f"invalid problem {path}: " + "; ".join(problems))
+    return p
 
 
 def _load_scenario(spec: str) -> dict:
@@ -60,14 +64,6 @@ def _parse_vector(text) -> np.ndarray:
     except json.JSONDecodeError:
         vals = [float(t) for t in text.split(",") if t.strip()]
     return np.atleast_1d(np.asarray(vals, dtype=float))
-
-
-def _resolve_kappa(text, p) -> float:
-    if text == "formula":
-        return glc_estimate(p).kappa
-    if text in ("scaled-formula", "scaled"):
-        return glc_scaled_estimate(p).kappa
-    return float(text)
 
 
 def _emit(args, text: str) -> None:
@@ -102,7 +98,7 @@ def cmd_glc(args) -> int:
 def cmd_trim(args) -> int:
     p = _load_problem(args.problem)
     x = _parse_vector(args.x)
-    kappa = _resolve_kappa(args.kappa, p)
+    kappa = resolve_kappa(args.kappa, p)
     samples = samples_from_json(pathlib.Path(args.samples).read_text())
     if not samples:
         raise SystemExit("samples file is empty")
@@ -150,7 +146,7 @@ def cmd_mpc_sim(args) -> int:
     sc = scenario_from_dict(_load_scenario(args.scenario))
     kappa = None
     if args.mode != "full":
-        kappa = _resolve_kappa(args.kappa, sc.condensed)
+        kappa = resolve_kappa(args.kappa, sc.condensed)
     offline = None
     if args.mode in ("offline-nearest", "hybrid"):
         spacing = args.offline_spacing
@@ -171,7 +167,6 @@ def cmd_bench(args) -> int:
         steps=args.steps,
         seed=args.seed,
         out_dir=args.out,
-        kappa_source=args.kappa_source,
         kappa=args.kappa,
         offline_spacing=args.offline_spacing,
         tol=_tol(args),
@@ -197,6 +192,8 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser wiring
+
+KAPPA_HELP = "number, or the closed-form estimate 'formula' or 'scaled-formula'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", required=True,
                     help="JSON array of solved samples")
     sp.add_argument("-x", required=True, help="query parameter vector")
-    sp.add_argument("--kappa", required=True,
-                    help="number, or the closed-form estimate 'formula' "
-                         "or 'scaled-formula'")
+    sp.add_argument("--kappa", required=True, help=KAPPA_HELP)
     sp.add_argument("--assume-licq", action="store_true",
                     help="skip the independence check when folding samples")
     sp.set_defaults(func=cmd_trim)
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", required=True, help="initial state")
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--mode", choices=MODES, default="full")
-    sp.add_argument("--kappa", default="scaled-formula")
+    sp.add_argument("--kappa", default="scaled-formula", help=KAPPA_HELP)
     sp.add_argument("--offline-spacing", type=float, default=None)
     sp.set_defaults(func=cmd_mpc_sim)
 
@@ -277,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--modes", default="full,adaptive-online")
     sp.add_argument("--draws", type=int, default=20)
     sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--kappa-source", choices=KAPPA_SOURCES,
-                    default="scaled-formula")
-    sp.add_argument("--kappa", type=float, default=None)
+    sp.add_argument("--kappa", default="scaled-formula", help=KAPPA_HELP)
     sp.add_argument("--offline-spacing", type=float, default=None)
     sp.set_defaults(func=cmd_bench)
 

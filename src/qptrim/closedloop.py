@@ -20,9 +20,10 @@ from .lipschitz import glc_scaled_estimate
 from .mpqp import MpQp, SolvedSample
 from .qpsolver import qp_solve
 from .tolerances import DEFAULT, Tolerances
-from .trim import LicqViolation, nearest_index, trim_multi, trim_single
+from .trim import (LicqViolation, check_kappa, nearest_index, trim_multi,
+                   trim_single)
 
-MODES = ("full", "warm-start", "adaptive-online", "offline-nearest", "hybrid")
+MODES = ("full", "adaptive-online", "offline-nearest", "hybrid")
 
 
 class InfeasibleAtStep(Exception):
@@ -105,14 +106,13 @@ def simulate(
     mode: str = "full",
     kappa: float | None = None,
     offline=None,
-    decay=None,
     tol: Tolerances = DEFAULT,
 ) -> ClosedLoopTrace:
     """Run the receding-horizon loop for `steps` control steps.
 
-    Step 0 always solves the full problem. Later steps pick rows per mode:
+    Step 0 always solves the full problem, and every step solves from a
+    cold start. Later steps pick rows per mode:
       full             re-solve everything
-      warm-start       full rows, seeded with the previous active set
       adaptive-online  trim against the previous step's sample
       offline-nearest  trim against the nearest offline sample
       hybrid           trim against both; on a degenerate joint active set,
@@ -123,7 +123,8 @@ def simulate(
     (glc_scaled_estimate). It is uncertified and can understate the
     constant, so trimmed runs that rely on it should be compared with a
     full run, as the bench harness does. Pass glc_scaled(p).kappa for a
-    certified constant where its enumeration is affordable.
+    certified constant where its enumeration is affordable. A NaN,
+    infinite or negative kappa raises ValueError before step 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -132,14 +133,15 @@ def simulate(
     p = scenario.condensed
     if kappa is None and mode in ("adaptive-online", "offline-nearest", "hybrid"):
         kappa = glc_scaled_estimate(p).kappa
+    if kappa is not None:
+        check_kappa(kappa)
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (scenario.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({scenario.n},)")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 {x.tolist()} is not finite")
     m = scenario.m
-    meta = {"mode": mode, "kappa": kappa, "decay": decay,
-            "scenario": scenario.name}
+    meta = {"mode": mode, "kappa": kappa, "scenario": scenario.name}
     records: list = []
 
     def fail(k, why):
@@ -154,13 +156,9 @@ def simulate(
         ):
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
-        step_mode = mode
-        if k == 0 or mode == "full":
-            step_mode = "full" if k == 0 else mode
+        step_mode = "full" if k == 0 else mode
+        if step_mode == "full":
             sol = qp_solve(p, x, tol=tol)
-            kept_count = p.n_c
-        elif mode == "warm-start":
-            sol = qp_solve(p, x, warm=prev.active, tol=tol)
             kept_count = p.n_c
         else:
             if mode == "adaptive-online":

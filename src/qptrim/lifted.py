@@ -13,7 +13,7 @@ a general mp-QP.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class LiftedPolyhedron:
 
     H_lift: np.ndarray
     w: np.ndarray
-    row_norms: np.ndarray = None
+    row_norms: np.ndarray = field(init=False)
     box: np.ndarray | None = None
 
     def __post_init__(self):
@@ -66,11 +66,7 @@ class LiftedPolyhedron:
             raise ValueError(
                 f"w has shape {self.w.shape} for {self.H_lift.shape[0]} rows"
             )
-        norms = np.linalg.norm(self.H_lift, axis=1)
-        if self.row_norms is None:
-            self.row_norms = norms
-        else:
-            self.row_norms = np.atleast_1d(np.asarray(self.row_norms, dtype=float))
+        self.row_norms = np.linalg.norm(self.H_lift, axis=1)
         if self.H_lift.shape[0] and self.row_norms.min() <= 0.0:
             bad = int(np.argmin(self.row_norms)) + 1
             raise ValueError(f"lifted row {bad} has zero norm")
@@ -196,18 +192,16 @@ def _auto_big_m(L: LiftedPolyhedron) -> float:
 def sigma_milp(
     L: LiftedPolyhedron,
     i: int,
-    big_m: float | None = None,
     r_max: float | None = None,
-    node_limit: int = 1_000_000,
-    seed_incumbent: bool = True,
 ) -> float:
     """Exact sigma_i over the boxed polyhedron.
 
     Encodes "at least i+1 distances do not exceed r" with one binary per
     row exempting it from the bound, a budget of n_c-i-1 exemptions, and a
-    big-M wide enough to deactivate any row (auto-derived from per-row LPs
-    when not supplied). Strict inequalities in the encoding are relaxed to
-    non-strict, which leaves the infimum unchanged.
+    big-M wide enough to deactivate any row (derived from per-row LPs).
+    A sampled upper bound seeds the search's incumbent. Strict inequalities
+    in the encoding are relaxed to non-strict, which leaves the infimum
+    unchanged.
     """
     _require_box(L)
     if i < 1:
@@ -215,7 +209,7 @@ def sigma_milp(
     r_max = _default_r_max(L) if r_max is None else float(r_max)
     if i >= L.n_c:
         return r_max
-    m = _auto_big_m(L) if big_m is None else float(big_m)
+    m = _auto_big_m(L)
     n_c, n_v = L.n_c, L.n_v
     n = n_v + 1 + n_c  # v, r, delta
     unit = L.H_lift / L.row_norms[:, None]
@@ -241,12 +235,10 @@ def sigma_milp(
     cost = np.zeros(n)
     cost[n_v] = 1.0
     bounds = [tuple(row) for row in L.box] + [(0.0, m)] + [(0.0, 1.0)] * n_c
-    incumbent = None
-    if seed_incumbent:
-        try:
-            incumbent = sigma_sample(L, i, n_samples=256, seed=0, r_max=r_max)
-        except NoFeasibleSamples:
-            pass
+    try:
+        incumbent = sigma_sample(L, i, n_samples=256, seed=0, r_max=r_max)
+    except NoFeasibleSamples:
+        incumbent = None
     res = milp_solve(
         cost,
         np.vstack(rows),
@@ -254,7 +246,6 @@ def sigma_milp(
         bounds,
         integer=range(n_v + 1, n),
         incumbent=incumbent,
-        node_limit=node_limit,
     )
     if not res.is_optimal:
         raise UnboundedLift(f"threshold search returned {res.status}")
@@ -305,7 +296,6 @@ def sigma_table(
     r_max: float | None = None,
     n_samples: int = 20000,
     seed: int = 0,
-    node_limit: int = 1_000_000,
 ) -> SigmaTable:
     """Thresholds for i = 1..i_max (capped at n_c - 1).
 
@@ -322,7 +312,7 @@ def sigma_table(
     prev = 0.0
     for i in range(1, i_max + 1):
         if mode == "milp":
-            val = sigma_milp(L, i, r_max=r_max, node_limit=node_limit)
+            val = sigma_milp(L, i, r_max=r_max)
         else:
             val = sigma_sample(L, i, n_samples=n_samples, seed=seed, r_max=r_max)
         prev = max(val, prev)

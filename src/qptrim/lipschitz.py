@@ -195,26 +195,37 @@ def phi_default(p: MpQp) -> np.ndarray:
     return 1.0 / np.sqrt(quads)
 
 
-def _on_scaled_rows(bound, p: MpQp, phi) -> GlcReport:
-    phi = phi_default(p) if phi is None else np.atleast_1d(np.asarray(phi, dtype=float))
-    report = bound(p.scaled(phi))
-    report.scaling_used = phi
-    return report
-
-
-def glc_scaled(p: MpQp, phi=None) -> GlcReport:
-    """Certified constant after diagonal row scaling (default: equalizing).
+def glc_scaled(p: MpQp) -> GlcReport:
+    """Certified constant after the equalizing row scaling phi_default.
 
     Row scaling changes neither the minimizer nor any piece's slope, so the
     constant is certified for the original problem too; only the closed-form
     part, which glc takes the maximum with, can tighten.
     """
-    return _on_scaled_rows(glc, p, phi)
+    phi = phi_default(p)
+    report = glc(p.scaled(phi))
+    report.scaling_used = phi
+    return report
 
 
-def glc_scaled_estimate(p: MpQp, phi=None) -> GlcReport:
-    """glc_estimate on rescaled rows (default: equalizing). Uncertified."""
-    return _on_scaled_rows(glc_estimate, p, phi)
+def glc_scaled_estimate(p: MpQp) -> GlcReport:
+    """glc_estimate after the equalizing row scaling phi_default. Uncertified."""
+    phi = phi_default(p)
+    report = glc_estimate(p.scaled(phi))
+    report.scaling_used = phi
+    return report
+
+
+# closed-form estimates that a kappa spec can name instead of a number
+KAPPA_FORMULAS = {"formula": glc_estimate, "scaled-formula": glc_scaled_estimate}
+
+
+def resolve_kappa(spec, p: MpQp) -> float:
+    """The constant a kappa spec names: a key of KAPPA_FORMULAS, whose
+    estimate of p gives it, or a number."""
+    if spec in KAPPA_FORMULAS:
+        return KAPPA_FORMULAS[spec](p).kappa
+    return float(spec)
 
 
 def empirical_lipschitz(

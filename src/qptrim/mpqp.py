@@ -92,6 +92,14 @@ class IndexSet:
         return f"IndexSet({list(self._idx)})"
 
 
+def finite_parameter(x) -> np.ndarray:
+    """x as a 1-D float array; a NaN or infinite entry raises ValueError."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError(f"parameter {x.tolist()} is not finite")
+    return x
+
+
 @dataclass
 class MpQp:
     """One mp-QP instance. Treated as immutable once constructed."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpqp import IndexSet, MpQp, SolvedSample
+from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
 from .tolerances import DEFAULT, Tolerances
 
 OPTIMAL = "optimal"
@@ -51,19 +51,16 @@ def qp_solve(
     p: MpQp,
     x,
     idx: IndexSet | None = None,
-    warm: IndexSet | None = None,
     tol: Tolerances = DEFAULT,
     max_iter: int | None = None,
 ) -> QpSolution:
     """Solve the trimmed QP at parameter x over constraint subset idx.
 
-    warm is an optional guess of the active set, typically the previous
-    solution's. Its kept rows, less any that depend on the others, start
-    the working set at their equality solution; the most negative
-    multiplier is dropped until all are nonnegative. Every working-set
-    solve counts in `iterations`.
+    Every solve starts cold, at the unconstrained minimizer; `iterations`
+    counts that start and every row the loop adds or drops. A NaN or
+    infinite parameter raises ValueError.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = finite_parameter(x)
     rows = np.arange(p.n_c) if idx is None else idx.zero_based()
     G, Y, b = p.G[rows], p.hi_gt[:, rows], p.rhs(x)[rows]
     quads = p.g_quads[rows]
@@ -76,22 +73,6 @@ def qp_solve(
     lam = np.zeros(len(rows))
     work: list = []          # working rows, as positions in `rows`
     iterations = 1
-    if warm is not None:
-        for j in np.flatnonzero(np.isin(rows, warm.zero_based())):
-            iterations += bool(work)     # _step solves once work is set
-            d, _ = _step(G, Y, work, j)
-            if G[j] @ d > ROUNDING * quads[j]:
-                work.append(int(j))
-        while work:
-            iterations += 1
-            lam_w = np.linalg.solve(G[work] @ Y[:, work],
-                                    G[work] @ z0 - b[work])
-            if lam_w.min() >= 0.0:
-                lam[work] = lam_w
-                break
-            del work[int(np.argmin(lam_w))]
-        z = z0 - Y[:, work] @ lam[work]
-
     j = None                 # the violated row being added
     for _ in range(max_iter):
         if j is None:

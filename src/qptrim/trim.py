@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpqp import IndexSet, MpQp, SolvedSample
+from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -81,11 +81,10 @@ def check_sample(p: MpQp, sample: SolvedSample, tol: Tolerances = DEFAULT) -> No
         )
 
 
-def _finite_parameter(x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.isfinite(x).all():
-        raise ValueError(f"parameter {x.tolist()} is not finite")
-    return x
+def check_kappa(kappa) -> None:
+    """Raise ValueError unless kappa is a finite, nonnegative constant."""
+    if not 0.0 <= kappa < np.inf:     # NaN fails both comparisons
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
 def _distances(p: MpQp, sample: SolvedSample, x) -> np.ndarray:
@@ -131,9 +130,8 @@ def trim_single(
 ) -> TrimOutcome:
     """Safe index set from one solved sample: active rows plus every inactive
     row that fails the removal test."""
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    x = _finite_parameter(x)
+    check_kappa(kappa)
+    x = finite_parameter(x)
     check_sample(p, sample, tol)
     keep = _kept_mask(p, kappa, sample, x)
     return TrimOutcome(
@@ -148,7 +146,7 @@ def nearest_index(points, x) -> int:
     """Row of the stacked parameters `points` closest to x in the Euclidean
     norm; ties go to the first row. A non-finite query, or one whose length
     is not the rows', raises ValueError."""
-    x = _finite_parameter(x)
+    x = finite_parameter(x)
     if x.shape != points.shape[1:]:
         raise ValueError(f"parameter has {x.size} entries, expected "
                          f"{points.shape[1]}")
@@ -170,9 +168,8 @@ def trim_multi(
     every row is kept; with one sample, or without assume_licq, this
     reduces to trim_single on the nearest sample.
     """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    x = _finite_parameter(x)
+    check_kappa(kappa)
+    x = finite_parameter(x)
     samples = list(samples)
     if not samples:
         return TrimOutcome(

@@ -605,8 +605,7 @@ def double_integrator_loop(seed=0, steps=100, n_draws=20) -> CriterionResult:
         trimmed = {
             mode: [simulate(sc, x0, steps, mode=mode, kappa=kappa, offline=ds)
                    for x0 in draws]
-            for mode in ("warm-start", "adaptive-online",
-                         "offline-nearest", "hybrid")
+            for mode in ("adaptive-online", "offline-nearest", "hybrid")
         }
 
         # (a) every trimmed mode reproduces the full trajectories
@@ -813,7 +812,6 @@ def kappa_zero_demo(seed=0) -> CriterionResult:
         n_draws=5,
         steps=15,
         seed=seed,
-        kappa_source="user",
         kappa=0.0,
         offline_spacing=100.0,
     )

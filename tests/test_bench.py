@@ -25,17 +25,17 @@ def strip_time_column(csv_text):
 
 class TestRunBench:
     def test_all_modes_clean(self):
-        cfg = small_config(modes=("full", "warm-start", "adaptive-online",
+        cfg = small_config(modes=("full", "adaptive-online",
                                   "offline-nearest", "hybrid"),
                            offline_spacing=0.5)
         res = run_bench(cfg)
         assert res.ok
         assert res.failures == []
-        assert len(res.rows) == 5 * cfg.steps
+        assert len(res.rows) == 4 * cfg.steps
         for r in res.rows:
             assert 0.0 <= r.kept_pct <= 100.0
             assert np.isfinite(r.time_pct) and r.time_pct > 0
-            if r.mode in ("full", "warm-start"):
+            if r.mode == "full":
                 assert r.kept_pct == 100.0
 
     def test_adaptive_kept_reaches_zero(self):
@@ -59,7 +59,7 @@ class TestRunBench:
         # an over-confident constant with a too-coarse offline net removes
         # rows that matter; the harness must notice the trajectories split
         cfg = small_config(modes=("offline-nearest",), n_draws=5, steps=15,
-                           kappa_source="user", kappa=0.0,
+                           kappa=0.0,
                            offline_spacing=100.0)
         res = run_bench(cfg)
         assert not res.ok
@@ -101,10 +101,9 @@ class TestConfigValidation:
             BenchConfig(**base, steps=0)
         with pytest.raises(ValueError):
             BenchConfig(**base, n_draws=0)
-        with pytest.raises(ValueError):
-            BenchConfig(**base, kappa_source="guess")
-        with pytest.raises(ValueError):
-            BenchConfig(**base, kappa_source="user")
+        for kappa in ("guess", -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                BenchConfig(**base, kappa=kappa)
 
     def test_csv_row_format(self):
         row = MetricsRow(k=2, mode="full", kept_mean=1.5, kept_pct=50.0,

@@ -42,6 +42,21 @@ def test_solve_writes_out_file(prob_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"H": [[-2.0]]}, "H is not positive definite"),
+    ({"G": [[0.0], [1.0]]}, "zero rows in G: [1]"),
+    ({"S": [[1.0, 0.0], [-1.0, 0.0]]}, "S shape (2, 2) does not match"),
+])
+def test_invalid_problem_file_rejected(tmp_path, change, message):
+    data = example_two_halfplanes().to_dict()
+    data.update(change)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(f), "-x", "-1"])
+    assert message in str(exc.value)
+
+
 def test_glc_plain_and_scaled(prob_file, capsys):
     assert main(["glc", prob_file]) == 0
     plain = _json_out(capsys)
@@ -142,8 +157,8 @@ def test_bench_seed_determinism_and_outputs(tmp_path, capsys):
 def test_bench_flags_equivalence_violation(capsys):
     # kappa forced to zero removes rows it must not; exit turns nonzero
     rc = main(["bench", "double-integrator", "--modes", "offline-nearest",
-               "--draws", "2", "--steps", "8", "--kappa-source", "user",
-               "--kappa", "0", "--offline-spacing", "100"])
+               "--draws", "2", "--steps", "8", "--kappa", "0",
+               "--offline-spacing", "100"])
     capsys.readouterr()
     assert rc == 1
 

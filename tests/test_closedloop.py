@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qptrim import closedloop
 from qptrim.closedloop import (
     ClosedLoopTrace,
     DegenerateTrace,
@@ -106,12 +107,11 @@ class TestSimulateBasics:
 
     def test_record_modes_and_meta(self):
         sc = di_scenario()
-        trace = simulate(sc, [0.1, 0.1], 3, mode="warm-start")
+        trace = simulate(sc, [0.1, 0.1], 3, mode="adaptive-online")
         assert trace.records[0].mode == "full"
-        assert trace.records[1].mode == "warm-start"
-        assert trace.meta["mode"] == "warm-start"
-        tr2 = simulate(sc, [0.1, 0.1], 3, mode="adaptive-online")
-        assert tr2.meta["kappa"] > 0
+        assert trace.records[1].mode == "adaptive-online"
+        assert trace.meta["mode"] == "adaptive-online"
+        assert trace.meta["kappa"] > 0
 
     def test_jsonl_roundtrip(self):
         sc = di_scenario()
@@ -140,6 +140,17 @@ class TestInfeasibility:
             with pytest.raises(ValueError, match="not finite"):
                 simulate(sc, bad, 5)
 
+    def test_bad_kappa_rejected_before_step_0(self, monkeypatch):
+        sc = di_scenario()
+        solves = []
+        monkeypatch.setattr(closedloop, "qp_solve",
+                            lambda *a, **kw: solves.append(a))
+        for bad in (np.nan, np.inf, -0.5):
+            with pytest.raises(ValueError, match="kappa"):
+                simulate(sc, [0.5, 0.2], 5, mode="adaptive-online",
+                         kappa=bad)
+        assert solves == []
+
     def test_qp_infeasible_at_start(self):
         sc = di_scenario()
         # inside the state box but impossible to keep there at this speed
@@ -154,8 +165,7 @@ class TestTrajectoryEquivalence:
         x0 = boundary_point(sc.XN, [0.7, -1.0])
         steps = 30
         ref = simulate(sc, x0, steps, mode="full")
-        for mode in ("warm-start", "adaptive-online", "offline-nearest",
-                     "hybrid"):
+        for mode in ("adaptive-online", "offline-nearest", "hybrid"):
             trace = simulate(sc, x0, steps, mode=mode, offline=offline)
             assert np.abs(trace.states() - ref.states()).max() < 1e-8, mode
             assert np.abs(trace.inputs() - ref.inputs()).max() < 1e-8, mode

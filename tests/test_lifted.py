@@ -169,7 +169,6 @@ class TestSigmaMilp:
 
     def test_supplied_big_m_and_degenerate_i(self):
         L = unit_square()
-        assert sigma_milp(L, 2, big_m=50.0) == pytest.approx(0.5, abs=1e-6)
         assert sigma_milp(L, 4) == pytest.approx(np.linalg.norm([4.0, 4.0]))
 
     def test_empty_intersection_rejected(self):

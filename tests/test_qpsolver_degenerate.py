@@ -16,17 +16,6 @@ def test_iteration_cap_raises():
         qp_solve(example_two_halfplanes(), [-2.0], max_iter=1)
 
 
-def test_warm_start_from_dependent_active_set():
-    # at x=-2 both rows of the example are active and parallel; the warm
-    # start keeps one of them and reaches the same degenerate vertex
-    p = example_two_halfplanes()
-    s = qp_solve(p, [-2.0], warm=IndexSet([1, 2]))
-    assert s.is_optimal
-    assert np.allclose(s.z_star, [-2.0], atol=1e-12)
-    assert s.active == IndexSet([1, 2])
-    assert np.isclose(s.lam.sum(), 6.0)
-
-
 def with_degenerate_rows(p, scale):
     """p plus a positively scaled copy of row 1 and a row antiparallel to it
     that no point satisfying row 1 can meet."""

@@ -166,6 +166,17 @@ class TestTrimSingle:
         with pytest.raises(ValueError):
             trim_single(hp, -0.1, hp_samples[0], [-2.0])
 
+    def test_non_finite_kappa_rejected(self, hp, hp_samples):
+        # a NaN radius would fail every removal test and keep all rows
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                trim_single(hp, bad, hp_samples[0], [-2.0])
+        for bad in (np.nan, np.inf, -0.1):
+            for licq in (False, True):
+                with pytest.raises(ValueError, match="kappa"):
+                    trim_multi(hp, bad, list(hp_samples), [-2.0],
+                               assume_licq=licq)
+
 
 class TestSampleValidation:
     def test_shape_mismatch(self, hp):
