@@ -19,11 +19,10 @@ from .closedloop import (
     default_offline_spacing,
     simulate,
 )
-from .lipschitz import KAPPA_FORMULAS, resolve_kappa
+from .lipschitz import check_kappa_spec, resolve_kappa
 from .mpc import scenario_from_dict
 from .simplex import INFEASIBLE, lp_solve
 from .tolerances import DEFAULT, Tolerances
-from .trim import check_kappa
 
 # largest state or input deviation from the full-solve baseline that
 # still counts as the same trajectory
@@ -53,8 +52,7 @@ class BenchConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.n_draws < 1:
             raise ValueError(f"n_draws must be >= 1, got {self.n_draws}")
-        if self.kappa not in KAPPA_FORMULAS:
-            check_kappa(float(self.kappa))
+        check_kappa_spec(self.kappa)
 
 
 @dataclass

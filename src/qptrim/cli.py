@@ -24,7 +24,7 @@ from .closedloop import (
     simulate,
 )
 from .lifted import SigmaTable, lift, sigma_table
-from .lipschitz import glc, glc_scaled, resolve_kappa
+from .lipschitz import check_kappa_spec, glc, glc_scaled, resolve_kappa
 from .mpc import scenario_from_dict
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
@@ -75,6 +75,15 @@ def _emit(args, text: str) -> None:
 
 def _tol(args):
     return PROFILES[args.tol_profile]
+
+
+def _kappa_arg(text: str) -> str:
+    """argparse type of --kappa: the spec unchanged, or a usage error."""
+    try:
+        check_kappa_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", required=True,
                     help="JSON array of solved samples")
     sp.add_argument("-x", required=True, help="query parameter vector")
-    sp.add_argument("--kappa", required=True, help=KAPPA_HELP)
+    sp.add_argument("--kappa", required=True, type=_kappa_arg,
+                    help=KAPPA_HELP)
     sp.add_argument("--assume-licq", action="store_true",
                     help="skip the independence check when folding samples")
     sp.set_defaults(func=cmd_trim)
@@ -262,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", required=True, help="initial state")
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--mode", choices=MODES, default="full")
-    sp.add_argument("--kappa", default="scaled-formula", help=KAPPA_HELP)
+    sp.add_argument("--kappa", default="scaled-formula", type=_kappa_arg,
+                    help=KAPPA_HELP)
     sp.add_argument("--offline-spacing", type=float, default=None)
     sp.set_defaults(func=cmd_mpc_sim)
 
@@ -272,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--modes", default="full,adaptive-online")
     sp.add_argument("--draws", type=int, default=20)
     sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--kappa", default="scaled-formula", help=KAPPA_HELP)
+    sp.add_argument("--kappa", default="scaled-formula", type=_kappa_arg,
+                    help=KAPPA_HELP)
     sp.add_argument("--offline-spacing", type=float, default=None)
     sp.set_defaults(func=cmd_bench)
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
-from .mpqp import MpQp, SolvedSample
+from .mpqp import IndexSet, MpQp, SolvedSample
 from .qpsolver import qp_solve
 from .tolerances import DEFAULT, Tolerances
-from .trim import (LicqViolation, check_kappa, nearest_index, trim_multi,
-                   trim_single)
+from .trim import (_ball_radius, _kept_mask, _sample_mask, check_kappa,
+                   check_sample, nearest_index)
 
 MODES = ("full", "adaptive-online", "offline-nearest", "hybrid")
 
@@ -60,6 +60,8 @@ class StepRecord:
     iterations: int
     wall_time: float
     mode: str
+    t_trim: float        # choosing the kept rows; 0 on a full step
+    t_solve: float       # the qp_solve call
 
     def to_dict(self) -> dict:
         return {
@@ -70,6 +72,8 @@ class StepRecord:
             "iterations": int(self.iterations),
             "wall_time": float(self.wall_time),
             "mode": self.mode,
+            "t_trim": float(self.t_trim),
+            "t_solve": float(self.t_solve),
         }
 
 
@@ -125,6 +129,17 @@ def simulate(
     full run, as the bench harness does. Pass glc_scaled(p).kappa for a
     certified constant where its enumeration is affordable. A NaN,
     infinite or negative kappa raises ValueError before step 0.
+
+    Each step computes S x + w once, and G z once after its solve. Their
+    difference is the full rows' slack vector, from which the step reads
+    its active set. The next step trims against this solution with the
+    slacks S x' + w - G z, bitwise the values p.slacks(x', z) gives, in
+    one removal test over all rows (trim._kept_mask). The loop's own
+    solution is not re-validated with check_sample: its active set is
+    read from its own slacks, so only its feasibility is checked, and a
+    violated row raises InfeasibleAtStep. Offline samples still go
+    through check_sample. StepRecord.wall_time runs from the state to the
+    input, trim included; t_trim and t_solve split it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -149,7 +164,9 @@ def simulate(
             k, why, trace=ClosedLoopTrace(records, status="infeasible", meta=meta)
         )
 
-    prev = None
+    act_band = tol.act * (1.0 + np.abs(p.w))
+    feas_floor = -tol.feas * (1.0 + np.abs(p.w))
+    prev = None          # last step's x, G z, slacks S x + w - G z, active mask
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
             scenario.stripped_param_rows.contains(x, tol.feas)
@@ -157,35 +174,56 @@ def simulate(
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
         step_mode = "full" if k == 0 else mode
-        if step_mode == "full":
-            sol = qp_solve(p, x, tol=tol)
-            kept_count = p.n_c
-        else:
+        b = idx = None
+        if step_mode != "full":
+            b = p.rhs(x)
+            if mode != "offline-nearest":
+                # the loop's own sample: its slacks at x are b - G z_prev,
+                # and its active set holds by construction; only its
+                # feasibility is left to check
+                x_prev, gz_prev, slack_prev, active_prev = prev
+                if (slack_prev < feas_floor).any():
+                    j = int(np.argmin(slack_prev))
+                    fail(k, f"previous solution violates row {j + 1}: "
+                            f"slack {slack_prev[j]:.3e}")
+                own = _kept_mask(p, b - gz_prev,
+                                 _ball_radius(kappa, x_prev, x), active_prev)
+            if mode != "adaptive-online":
+                sample = offline.nearest(x)
+                check_sample(p, sample, tol)
+                near = _sample_mask(p, kappa, sample, x)
             if mode == "adaptive-online":
-                outcome = trim_single(p, kappa, prev, x, tol)
+                keep = own
             elif mode == "offline-nearest":
-                outcome = trim_single(p, kappa, offline.nearest(x), x, tol)
+                keep = near
+            elif (p.licq_holds(IndexSet.from_mask(active_prev))
+                  and p.licq_holds(sample.active)):
+                keep = own & near
             else:
-                pair = [prev, offline.nearest(x)]
-                try:
-                    outcome = trim_multi(p, kappa, pair, x,
-                                         assume_licq=True, tol=tol)
-                except LicqViolation:
-                    # without the independence assertion trim_multi
-                    # trims against the nearer sample alone
-                    outcome = trim_multi(p, kappa, pair, x, tol=tol)
-            kept_count = len(outcome.kept)
-            sol = qp_solve(p, x, idx=outcome.kept, tol=tol)
+                # dependent active rows: trim against the nearer sample
+                # alone, as trim_multi does without the LICQ assertion
+                pair = np.array([x_prev, sample.x_hat])
+                keep = (own, near)[nearest_index(pair, x)]
+            idx = IndexSet.from_mask(keep)
+        t1 = time.perf_counter()
+        sol = qp_solve(p, x, idx=idx, tol=tol)
+        t2 = time.perf_counter()
         if not sol.is_optimal:
             fail(k, f"QP solve returned {sol.status}")
         z = sol.z_star
         u = z[:m].copy()
         wall = time.perf_counter() - t0
-        # active set recorded over the full rows: trimming keeps the
-        # minimizer, so re-reading activity from slacks is exact
-        prev = SolvedSample(x.copy(), z.copy(), p.active_set(x, z, tol))
-        records.append(StepRecord(k, x.copy(), u, kept_count,
-                                  sol.iterations, wall, step_mode))
+        # the full rows' slacks and active set, for the next step's trim;
+        # trimming keeps the minimizer, so re-reading activity is exact
+        if b is None:
+            b = p.rhs(x)
+        gz = p.G @ z
+        slack = b - gz
+        prev = (x, gz, slack, np.abs(slack) <= act_band)
+        records.append(StepRecord(
+            k, x.copy(), u, p.n_c if idx is None else len(idx),
+            sol.iterations, wall, step_mode,
+            0.0 if idx is None else t1 - t0, t2 - t1))
         x = scenario.A @ x + scenario.B @ u
     return ClosedLoopTrace(records, status="ok", meta=meta)
 

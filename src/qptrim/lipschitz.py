@@ -32,6 +32,7 @@ from .qpsolver import qp_solve
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import lp_solve
 from .tolerances import DEFAULT, rank_tol
+from .trim import check_kappa
 
 # row sets evaluated per batched slope computation
 _CHUNK = 20_000
@@ -218,6 +219,19 @@ def glc_scaled_estimate(p: MpQp) -> GlcReport:
 
 # closed-form estimates that a kappa spec can name instead of a number
 KAPPA_FORMULAS = {"formula": glc_estimate, "scaled-formula": glc_scaled_estimate}
+
+
+def check_kappa_spec(spec) -> None:
+    """Raise ValueError unless spec is a key of KAPPA_FORMULAS or a finite,
+    nonnegative number; the message names the keys."""
+    if isinstance(spec, str) and spec in KAPPA_FORMULAS:
+        return
+    try:
+        kappa = float(spec)
+    except (TypeError, ValueError):
+        raise ValueError(f"kappa {spec!r} is neither a number nor one of "
+                         f"{', '.join(KAPPA_FORMULAS)}") from None
+    check_kappa(kappa)
 
 
 def resolve_kappa(spec, p: MpQp) -> float:

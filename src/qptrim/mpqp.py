@@ -26,70 +26,73 @@ class NonPositiveScale(Exception):
 
 
 class IndexSet:
-    """Sorted, duplicate-free set of 1-based constraint indices."""
+    """Sorted, duplicate-free set of 1-based constraint indices, held as an
+    int array."""
 
-    __slots__ = ("_idx", "_set")
+    __slots__ = ("_idx",)
 
     def __init__(self, indices=(), n_c: int | None = None):
-        idx = sorted({int(i) for i in indices})
-        if idx and idx[0] < 1:
+        idx = np.unique(np.array([int(i) for i in indices], dtype=np.intp))
+        if idx.size and idx[0] < 1:
             raise ValueError(f"constraint indices are 1-based, got {idx[0]}")
-        if n_c is not None and idx and idx[-1] > n_c:
+        if n_c is not None and idx.size and idx[-1] > n_c:
             raise ValueError(f"index {idx[-1]} exceeds n_c={n_c}")
-        self._idx = tuple(idx)
-        self._set = frozenset(idx)
+        self._idx = idx
+
+    @classmethod
+    def _of_sorted(cls, idx: np.ndarray) -> "IndexSet":
+        """Wrap an increasing array of 1-based indices without checking it."""
+        out = cls.__new__(cls)
+        out._idx = idx
+        return out
 
     @classmethod
     def full(cls, n_c: int) -> "IndexSet":
-        return cls(range(1, n_c + 1))
+        return cls._of_sorted(np.arange(1, n_c + 1, dtype=np.intp))
 
     @classmethod
     def from_mask(cls, mask) -> "IndexSet":
-        return cls(np.flatnonzero(np.asarray(mask, dtype=bool)) + 1)
+        return cls._of_sorted(np.asarray(mask, dtype=bool).nonzero()[0] + 1)
 
     @property
     def indices(self) -> tuple:
-        return self._idx
+        return tuple(self._idx.tolist())
 
     def zero_based(self) -> np.ndarray:
-        return np.asarray(self._idx, dtype=int) - 1
+        return self._idx - 1
 
     def to_mask(self, n_c: int) -> np.ndarray:
         mask = np.zeros(n_c, dtype=bool)
-        mask[self.zero_based()] = True
+        mask[self._idx - 1] = True
         return mask
 
-    def union(self, other) -> "IndexSet":
-        return IndexSet(self._set | set(other))
-
     def intersection(self, other) -> "IndexSet":
-        return IndexSet(self._set & set(other))
-
-    def difference(self, other) -> "IndexSet":
-        return IndexSet(self._set - set(other))
-
-    def complement(self, n_c: int) -> "IndexSet":
-        return IndexSet(set(range(1, n_c + 1)) - self._set)
+        if not isinstance(other, IndexSet):
+            other = IndexSet(other)
+        return IndexSet._of_sorted(
+            np.intersect1d(self._idx, other._idx, assume_unique=True))
 
     def __contains__(self, i) -> bool:
-        return int(i) in self._set
+        i = int(i)
+        k = int(np.searchsorted(self._idx, i))
+        return k < self._idx.size and self._idx[k] == i
 
     def __iter__(self):
-        return iter(self._idx)
+        return iter(self._idx.tolist())
 
     def __len__(self) -> int:
-        return len(self._idx)
+        return self._idx.size
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IndexSet):
-            return self._idx == other._idx
+            return np.array_equal(self._idx, other._idx)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._idx)
+        return hash(self._idx.tobytes())
 
     def __repr__(self) -> str:
-        return f"IndexSet({list(self._idx)})"
+        return f"IndexSet({self._idx.tolist()})"
 
 
 def finite_parameter(x) -> np.ndarray:
@@ -186,6 +189,11 @@ class MpQp:
     @cached_property
     def g_row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.G, axis=1)
+
+    @cached_property
+    def g_zero_rows(self) -> np.ndarray:
+        """0-based positions of all-zero rows of G, which validate() reports."""
+        return np.flatnonzero(self.g_row_norms <= 0.0)
 
     # -- queries ------------------------------------------------------------
 

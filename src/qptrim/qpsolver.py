@@ -61,17 +61,23 @@ def qp_solve(
     infinite parameter raises ValueError.
     """
     x = finite_parameter(x)
-    rows = np.arange(p.n_c) if idx is None else idx.zero_based()
-    G, Y, b = p.G[rows], p.hi_gt[:, rows], p.rhs(x)[rows]
-    quads = p.g_quads[rows]
+    b = p.rhs(x)
+    if idx is None:
+        rows = None
+        G, Y, quads, w = p.G, p.hi_gt, p.g_quads, p.w
+    else:
+        rows = idx.zero_based()
+        G, Y, b = p.G[rows], None, b[rows]
+        quads, w = p.g_quads[rows], p.w[rows]
+    n = len(b)
     feas_slack = tol.feas * (1.0 + np.abs(b).max(initial=0.0))
     if max_iter is None:
-        max_iter = 50 * (p.n_z + len(rows)) + 100
+        max_iter = 50 * (p.n_z + n) + 100
 
     z0 = -p.hi_ft @ x
     z = z0
-    lam = np.zeros(len(rows))
-    work: list = []          # working rows, as positions in `rows`
+    lam = np.zeros(n)
+    work: list = []          # working rows, as positions in the solved rows
     iterations = 1
     j = None                 # the violated row being added
     for _ in range(max_iter):
@@ -81,11 +87,16 @@ def qp_solve(
             if work:
                 viol[work] = -np.inf
             if viol.max(initial=-np.inf) <= feas_slack:
-                near = np.abs(slack) <= tol.act * (1.0 + np.abs(p.w[rows]))
+                near = np.flatnonzero(
+                    np.abs(slack) <= tol.act * (1.0 + np.abs(w)))
+                active = near if rows is None else rows[near]
                 return QpSolution(z, np.maximum(lam, 0.0),
-                                  IndexSet(rows[near] + 1), OPTIMAL, iterations)
+                                  IndexSet._of_sorted(active + 1), OPTIMAL,
+                                  iterations)
             j = int(np.argmax(viol))
         iterations += 1
+        if Y is None:        # a trimmed solve copies its columns only now
+            Y = p.hi_gt[:, rows]
         d, r = _step(G, Y, work, j)
         curvature = G[j] @ d
         shift = np.flatnonzero(r > ROUNDING * np.abs(r).max(initial=0.0))

@@ -11,6 +11,7 @@ multi-sample path is gated behind an explicit caller assertion.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +88,34 @@ def check_kappa(kappa) -> None:
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
-def _distances(p: MpQp, sample: SolvedSample, x) -> np.ndarray:
-    """Distance from the sample minimizer to each half-space boundary at x."""
-    slack = p.slacks(x, sample.z_star)
-    norms = p.g_row_norms
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = slack / norms
-    zero = norms <= 0.0
-    if zero.any():
+def _ball_radius(kappa: float, x_hat, x) -> float:
+    """Radius kappa*||x - x_hat|| of the ball that holds the minimizer at x."""
+    d = x - x_hat
+    return float(kappa) * math.sqrt(d.dot(d))   # np.linalg.norm, bitwise
+
+
+def _kept_mask(p: MpQp, slack, radius: float, active) -> np.ndarray:
+    """Rows that stay: the sample's active rows (bool mask `active`) plus
+    every inactive row whose half-space at x does not contain the ball of
+    `radius` around the sample minimizer, given the minimizer's slacks at
+    x. Containment is radius <= slack_j / ||G_j||, equality included.
+    This is the only copy of the removal test."""
+    norms, zero = p.g_row_norms, p.g_zero_rows
+    if zero.size:
         # degenerate 0*z rows: satisfied by every z or by none
-        d[zero] = np.where(slack[zero] >= 0.0, np.inf, -np.inf)
-    return d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = slack / norms
+        dist[zero] = np.where(slack[zero] >= 0.0, np.inf, -np.inf)
+    else:
+        dist = slack / norms
+    return active | ~(radius <= dist)
 
 
-def _ball_radius(kappa: float, sample: SolvedSample, x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(kappa) * float(np.linalg.norm(x - sample.x_hat))
+def _sample_mask(p: MpQp, kappa: float, sample: SolvedSample, x) -> np.ndarray:
+    """_kept_mask for a solved sample at parameter x."""
+    return _kept_mask(p, p.slacks(x, sample.z_star),
+                      _ball_radius(kappa, sample.x_hat, x),
+                      sample.active.to_mask(p.n_c))
 
 
 def removal_test(p: MpQp, kappa: float, sample: SolvedSample, x, j: int) -> bool:
@@ -116,13 +129,8 @@ def removal_test(p: MpQp, kappa: float, sample: SolvedSample, x, j: int) -> bool
         raise ValueError(f"row index {j} out of range 1..{p.n_c}")
     if j in sample.active:
         raise NotInactive(f"row {j} is active in the sample")
-    return bool(_ball_radius(kappa, sample, x) <= _distances(p, sample, x)[j - 1])
-
-
-def _kept_mask(p: MpQp, kappa: float, sample: SolvedSample, x) -> np.ndarray:
-    radius = _ball_radius(kappa, sample, x)
-    inactive = ~sample.active.to_mask(p.n_c)
-    return ~(inactive & (radius <= _distances(p, sample, x)))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return not _sample_mask(p, kappa, sample, x)[j - 1]
 
 
 def trim_single(
@@ -133,11 +141,11 @@ def trim_single(
     check_kappa(kappa)
     x = finite_parameter(x)
     check_sample(p, sample, tol)
-    keep = _kept_mask(p, kappa, sample, x)
+    keep = _sample_mask(p, kappa, sample, x)
     return TrimOutcome(
         kept=IndexSet.from_mask(keep),
         removed=IndexSet.from_mask(~keep),
-        radius=_ball_radius(kappa, sample, x),
+        radius=_ball_radius(kappa, sample.x_hat, x),
         samples_used=1,
     )
 
@@ -191,11 +199,11 @@ def trim_multi(
             )
     mask = np.ones(p.n_c, dtype=bool)
     for s in samples:
-        mask &= _kept_mask(p, kappa, s, x)
+        mask &= _sample_mask(p, kappa, s, x)
     return TrimOutcome(
         kept=IndexSet.from_mask(mask),
         removed=IndexSet.from_mask(~mask),
-        radius=_ball_radius(kappa, samples[-1], x),
+        radius=_ball_radius(kappa, samples[-1].x_hat, x),
         samples_used=len(samples),
     )
 
@@ -220,7 +228,7 @@ def certify(
     slack_here = p.slacks(x, sample.z_star)
     slack_at_sample = p.slacks(sample.x_hat, sample.z_star)
     act_band = tol.act * (1.0 + np.abs(p.w))
-    radius = _ball_radius(kappa, sample, x)
+    radius = _ball_radius(kappa, sample.x_hat, x)
     ok = True
     for j in outcome.removed:
         s_j = slack_here[j - 1]

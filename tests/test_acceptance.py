@@ -6,6 +6,8 @@ The checks re-derive expectations from hand-worked values, dense grids
 and explicit roll-outs; budgets are enforced where the check carries one.
 """
 
+import pytest
+
 from qptrim import verify
 
 CHECKS = dict(verify.CHECKS)
@@ -26,6 +28,7 @@ def test_c2_zero_optimality_gap(capsys):
     _gate("2", capsys)
 
 
+@pytest.mark.slow
 def test_c3_lipschitz_bound_soundness(capsys):
     # Nearly parallel active rows make some pieces of the minimizer map
     # steeper than the closed form. The check probes every piece realizable
@@ -34,6 +37,7 @@ def test_c3_lipschitz_bound_soundness(capsys):
     _gate("3", capsys)
 
 
+@pytest.mark.slow
 def test_c4_threshold_exactness(capsys):
     _gate("4", capsys)
 

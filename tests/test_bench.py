@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qptrim.bench import BenchConfig, BenchResult, MetricsRow, run_bench
-from qptrim.plants import gen_double_integrator
+from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 
 
 def small_config(**kw):
@@ -68,6 +68,20 @@ class TestRunBench:
             assert v["mode"] == "offline-nearest"
             assert v["deviation"] > 1e-8
 
+    def test_understated_kappa_records_failure(self):
+        # kappa=0 removes rows the next solve needs, so a step's solution
+        # violates a removed row; the next step must stop the run with
+        # InfeasibleAtStep, which run_bench records as a failure
+        res = run_bench(BenchConfig(
+            scenario=gen_oscillating_masses(3, h=0.5, N=10),
+            modes=("adaptive-online",), n_draws=3, steps=10, seed=0,
+            kappa=0.0))
+        assert [f["draw"] for f in res.failures] == [0, 1, 2]
+        for f in res.failures:
+            assert f["mode"] == "adaptive-online" and f["step"] >= 1
+            assert "violates row" in f["error"]
+        assert res.rows == [] and res.traces == {}
+
     def test_output_files(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "bench"))
         res = run_bench(cfg)
@@ -101,7 +115,7 @@ class TestConfigValidation:
             BenchConfig(**base, steps=0)
         with pytest.raises(ValueError):
             BenchConfig(**base, n_draws=0)
-        for kappa in ("guess", -1.0, float("nan")):
+        for kappa in ("guess", -1.0, float("nan"), None):
             with pytest.raises(ValueError):
                 BenchConfig(**base, kappa=kappa)
 

@@ -91,6 +91,16 @@ def test_trim_with_formula_kappa(prob_file, samples_file, capsys):
     assert 2 in _json_out(capsys)["kept"]
 
 
+def test_trim_rejects_malformed_kappa(prob_file, samples_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trim", prob_file, "--samples", samples_file,
+              "-x", "-2", "--kappa", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--kappa" in err and "'abc'" in err
+    assert "formula" in err and "scaled-formula" in err
+
+
 def test_sigma_cache_round_trip(prob_file, tmp_path, capsys):
     box = tmp_path / "box.json"
     box.write_text(json.dumps([[-3, 3], [-3, 3]]))

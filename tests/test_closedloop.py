@@ -21,12 +21,16 @@ from qptrim.closedloop import (
     horizon_bounds,
     simulate,
 )
+from qptrim.bench import draw_initial_states
+from qptrim.closedloop import default_offline_spacing
 from qptrim.lifted import SigmaTable, lift, sigma_table
-from qptrim.lipschitz import glc_scaled
+from qptrim.lipschitz import glc_scaled, glc_scaled_estimate
 from qptrim.mpc import condense, scenario_from_dict, terminal_ingredients
-from qptrim.mpqp import MpQp
-from qptrim.plants import gen_double_integrator
+from qptrim.mpqp import MpQp, SolvedSample
+from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import box
+from qptrim.qpsolver import qp_solve
+from qptrim.trim import LicqViolation, trim_multi, trim_single
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,7 +125,7 @@ class TestSimulateBasics:
         rec = json.loads(lines[2])
         assert rec["k"] == 2
         assert set(rec) == {"k", "x", "u", "kept_count", "iterations",
-                            "wall_time", "mode"}
+                            "wall_time", "mode", "t_trim", "t_solve"}
         assert np.allclose(rec["x"], trace.records[2].x)
 
 
@@ -189,6 +193,78 @@ class TestTrajectoryEquivalence:
             if r.kept_count == 0:
                 z_free = -np.linalg.solve(p.H, p.F.T @ r.x)
                 assert np.abs(r.u - z_free[:sc.m]).max() < 1e-9
+
+
+def reference_loop(sc, x0, steps, mode, kappa, offline):
+    """The loop built from the public trimming API alone: trim_single or
+    trim_multi on SolvedSample objects, qp_solve over the kept IndexSet,
+    and the active set re-read with p.active_set. Per step: input, kept
+    count, iterations."""
+    p = sc.condensed
+    x = np.asarray(x0, dtype=float)
+    prev, out = None, []
+    for k in range(steps):
+        if k == 0:
+            sol, kept = qp_solve(p, x), p.n_c
+        else:
+            if mode == "adaptive-online":
+                outcome = trim_single(p, kappa, prev, x)
+            elif mode == "offline-nearest":
+                outcome = trim_single(p, kappa, offline.nearest(x), x)
+            else:
+                pair = [prev, offline.nearest(x)]
+                try:
+                    outcome = trim_multi(p, kappa, pair, x, assume_licq=True)
+                except LicqViolation:
+                    outcome = trim_multi(p, kappa, pair, x)
+            sol, kept = qp_solve(p, x, idx=outcome.kept), len(outcome.kept)
+        u = sol.z_star[:sc.m].copy()
+        prev = SolvedSample(x.copy(), sol.z_star.copy(),
+                            p.active_set(x, sol.z_star))
+        out.append((u, kept, sol.iterations))
+        x = sc.A @ x + sc.B @ u
+    return out
+
+
+class TestTrimsExactly:
+    """simulate trims from stored slacks; it must reproduce, bit for bit,
+    the loop that trims through the public API."""
+
+    def check(self, sc, starts, steps, offline):
+        kappa = glc_scaled_estimate(sc.condensed).kappa
+        for mode in ("adaptive-online", "offline-nearest", "hybrid"):
+            for x0 in starts:
+                trace = simulate(sc, x0, steps, mode=mode, kappa=kappa,
+                                 offline=offline)
+                ref = reference_loop(sc, x0, steps, mode, kappa, offline)
+                assert np.array_equal(trace.inputs(),
+                                      np.array([r[0] for r in ref])), mode
+                assert trace.kept_counts().tolist() == [r[1] for r in ref]
+                assert [r.iterations for r in trace.records] == [
+                    r[2] for r in ref]
+
+    def test_double_integrator(self):
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=5))
+        offline = build_offline_dataset(sc, spacing=default_offline_spacing(sc))
+        self.check(sc, draw_initial_states(sc, 6, 0), 30, offline)
+
+    def test_dependent_rows(self):
+        # a scaled copy of the upper input bound: wherever the bound is
+        # active both copies are, so hybrid steps fall back to one sample
+        data = gen_double_integrator(h=0.5, N=5)
+        data["U"] = {"C": [[1.0], [-1.0], [2.0]], "d": [1.0, 1.0, 2.0]}
+        sc = scenario_from_dict(data)
+        offline = build_offline_dataset(sc, spacing=default_offline_spacing(sc))
+        self.check(sc, draw_initial_states(sc, 6, 0), 30, offline)
+
+    def test_masses(self):
+        sc = scenario_from_dict(gen_oscillating_masses(3, h=0.5, N=10))
+        starts = draw_initial_states(sc, 4, 1)
+        # offline samples at states a full run visits from other starts
+        centers = [r.x for x0 in draw_initial_states(sc, 2, 2)
+                   for r in simulate(sc, x0, 10).records]
+        offline = build_offline_dataset(sc, centers=centers, n_coverage=10)
+        self.check(sc, starts[:3], 20, offline)
 
 
 class TestHorizonBoundsOnTrace:
@@ -425,6 +501,6 @@ class TestEstimateDecay:
 
     def test_works_on_trace_object(self):
         recs = [StepRecord(k, (0.7 ** k) * np.ones(2), np.zeros(1),
-                           0, 1, 0.0, "full") for k in range(10)]
+                           0, 1, 0.0, "full", 0.0, 0.0) for k in range(10)]
         c, beta = estimate_decay(ClosedLoopTrace(recs))
         assert abs(beta - 0.7) < 1e-6

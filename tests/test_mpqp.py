@@ -18,20 +18,36 @@ class TestIndexSet:
         assert s.indices == (1, 2, 3)
         assert list(s) == [1, 2, 3]
         assert len(s) == 3
+        # iterable, array and mask construction agree
+        for same in (IndexSet((3, 2, 1)), IndexSet({2, 3, 1}),
+                     IndexSet(np.array([2, 3, 1, 2])),
+                     IndexSet.from_mask([True, True, True, False]),
+                     IndexSet.full(3)):
+            assert same == s
+            assert same.indices == (1, 2, 3)
+        assert all(type(i) is int for i in s)
+        assert IndexSet() == IndexSet([]) == IndexSet.from_mask([False] * 4)
+        assert len(IndexSet()) == 0 and IndexSet().indices == ()
 
     def test_one_based_validation(self):
         with pytest.raises(ValueError):
             IndexSet([0, 1])
+        with pytest.raises(ValueError):
+            IndexSet(np.array([2, 0]))
         with pytest.raises(ValueError):
             IndexSet([1, 5], n_c=4)
         IndexSet([1, 4], n_c=4)
 
     def test_set_operations(self):
         a, b = IndexSet([1, 2, 3]), IndexSet([3, 4])
-        assert a.union(b) == IndexSet([1, 2, 3, 4])
         assert a.intersection(b) == IndexSet([3])
-        assert a.difference(b) == IndexSet([1, 2])
-        assert b.complement(5) == IndexSet([1, 2, 5])
+        assert a.intersection([4, 5]) == IndexSet()
+        assert a.intersection(a) == a
+        # union, difference and complement read off the masks
+        ma, mb = a.to_mask(5), b.to_mask(5)
+        assert IndexSet.from_mask(ma | mb) == IndexSet([1, 2, 3, 4])
+        assert IndexSet.from_mask(ma & ~mb) == IndexSet([1, 2])
+        assert IndexSet.from_mask(~mb) == IndexSet([1, 2, 5])
         assert IndexSet.full(3) == IndexSet([1, 2, 3])
 
     def test_mask_round_trip(self):
@@ -39,11 +55,19 @@ class TestIndexSet:
         mask = s.to_mask(6)
         assert mask.tolist() == [False, True, False, False, True, False]
         assert IndexSet.from_mask(mask) == s
+        assert s.zero_based().tolist() == [1, 4]
 
     def test_membership_and_hash(self):
         s = IndexSet([2, 4])
-        assert 2 in s and 3 not in s
+        assert 2 in s and 4 in s
+        assert 1 not in s and 3 not in s and 5 not in s and 0 not in s
+        assert np.int64(4) in s
+        assert 3 not in IndexSet()
+        assert s == IndexSet([4, 2]) and s != IndexSet([2])
+        assert s != (2, 4)
         assert hash(s) == hash(IndexSet([4, 2]))
+        assert hash(s) == hash(IndexSet.from_mask(s.to_mask(7)))
+        assert len({s, IndexSet(np.array([4, 2])), IndexSet([2])}) == 2
 
 
 class TestValidate:
