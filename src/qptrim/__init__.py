@@ -61,7 +61,6 @@ from .mpqp import (
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .polyhedra import Polyhedron
 from .qpsolver import qp_solve, solve_sample
-from .tolerances import DEFAULT, PROFILES, STRICT, Tolerances
 from .trim import LicqViolation, TrimOutcome, removal_test, trim_multi, trim_single
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "BenchConfig",
     "BenchResult",
     "ClosedLoopTrace",
-    "DEFAULT",
     "GlcReport",
     "IndexSet",
     "LicqViolation",
@@ -79,12 +77,9 @@ __all__ = [
     "MpQp",
     "MpcScenario",
     "OfflineDataset",
-    "PROFILES",
     "Polyhedron",
-    "STRICT",
     "SigmaTable",
     "SolvedSample",
-    "Tolerances",
     "TrimOutcome",
     "build_offline_dataset",
     "condense",

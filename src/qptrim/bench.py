@@ -22,7 +22,6 @@ from .closedloop import (
 from .lipschitz import check_kappa_spec, resolve_kappa
 from .mpc import scenario_from_dict
 from .simplex import INFEASIBLE, lp_solve
-from .tolerances import DEFAULT, Tolerances
 
 # largest state or input deviation from the full-solve baseline that
 # still counts as the same trajectory
@@ -39,7 +38,6 @@ class BenchConfig:
     out_dir: str | None = None
     kappa: str | float = "scaled-formula"  # spec, see resolve_kappa
     offline_spacing: float | None = None  # default: a fifth of the XN box
-    tol: Tolerances = DEFAULT
 
     def __post_init__(self):
         self.modes = tuple(self.modes)
@@ -82,7 +80,7 @@ class BenchResult:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.failures
 
     def csv(self) -> str:
         return "\n".join([CSV_HEADER] + [r.to_csv_row() for r in self.rows])
@@ -136,20 +134,18 @@ def run_bench(config: BenchConfig) -> BenchResult:
         spacing = config.offline_spacing
         if spacing is None:
             spacing = default_offline_spacing(scenario)
-        offline = build_offline_dataset(scenario, spacing=spacing,
-                                        tol=config.tol)
+        offline = build_offline_dataset(scenario, spacing=spacing)
 
     failures, violations = [], []
     traces = {}
     baselines = {}
     for i, x0 in enumerate(draws):
-        baselines[i] = simulate(scenario, x0, config.steps, mode="full",
-                                tol=config.tol)
+        baselines[i] = simulate(scenario, x0, config.steps, mode="full")
     for mode in config.modes:
         for i, x0 in enumerate(draws):
             try:
                 trace = simulate(scenario, x0, config.steps, mode=mode,
-                                 kappa=kappa, offline=offline, tol=config.tol)
+                                 kappa=kappa, offline=offline)
             except InfeasibleAtStep as exc:
                 failures.append({"mode": mode, "draw": i, "step": exc.k,
                                  "error": str(exc)})

@@ -29,7 +29,6 @@ from .mpc import scenario_from_dict
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .qpsolver import solve_sample
-from .tolerances import PROFILES
 from .trim import trim_multi
 
 
@@ -73,10 +72,6 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _tol(args):
-    return PROFILES[args.tol_profile]
-
-
 def _kappa_arg(text: str) -> str:
     """argparse type of --kappa: the spec unchanged, or a usage error."""
     try:
@@ -92,7 +87,7 @@ def _kappa_arg(text: str) -> str:
 
 def cmd_solve(args) -> int:
     p = _load_problem(args.problem)
-    sample = solve_sample(p, _parse_vector(args.x), tol=_tol(args))
+    sample = solve_sample(p, _parse_vector(args.x))
     _emit(args, json.dumps(sample.to_dict(), indent=2))
     return 0
 
@@ -111,8 +106,7 @@ def cmd_trim(args) -> int:
     samples = samples_from_json(pathlib.Path(args.samples).read_text())
     if not samples:
         raise SystemExit("samples file is empty")
-    out = trim_multi(p, kappa, samples, x,
-                     assume_licq=args.assume_licq, tol=_tol(args))
+    out = trim_multi(p, kappa, samples, x, assume_licq=args.assume_licq)
     _emit(args, out.to_json(indent=2))
     return 0
 
@@ -161,9 +155,9 @@ def cmd_mpc_sim(args) -> int:
         spacing = args.offline_spacing
         if spacing is None:
             spacing = default_offline_spacing(sc)
-        offline = build_offline_dataset(sc, spacing=spacing, tol=_tol(args))
+        offline = build_offline_dataset(sc, spacing=spacing)
     trace = simulate(sc, _parse_vector(args.x0), args.steps, mode=args.mode,
-                     kappa=kappa, offline=offline, tol=_tol(args))
+                     kappa=kappa, offline=offline)
     _emit(args, trace.to_jsonl())
     return 0
 
@@ -178,7 +172,6 @@ def cmd_bench(args) -> int:
         out_dir=args.out,
         kappa=args.kappa,
         offline_spacing=args.offline_spacing,
-        tol=_tol(args),
     )
     result = run_bench(config)
     if args.out is None:
@@ -213,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default 0)")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output file (bench: output directory)")
-    common.add_argument("--tol-profile", choices=sorted(PROFILES),
-                        default=argparse.SUPPRESS,
-                        help="numerical tolerance profile")
 
     parser = argparse.ArgumentParser(
         prog="qptrim",
@@ -246,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", required=True, type=_kappa_arg,
                     help=KAPPA_HELP)
     sp.add_argument("--assume-licq", action="store_true",
-                    help="skip the independence check when folding samples")
+                    help="fold every sample instead of trimming against the "
+                         "nearest one; a sample whose own active rows are "
+                         "dependent is refused")
     sp.set_defaults(func=cmd_trim)
 
     sp = sub.add_parser("sigma", parents=[common],
@@ -301,7 +293,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.seed = getattr(args, "seed", 0)
     args.out = getattr(args, "out", None)
-    args.tol_profile = getattr(args, "tol_profile", "default")
     return args.func(args)
 
 

@@ -19,7 +19,7 @@ from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
 from .mpqp import IndexSet, MpQp, SolvedSample
 from .qpsolver import qp_solve
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import FEAS
 from .trim import (_ball_radius, _kept_mask, _sample_mask, check_kappa,
                    check_sample, nearest_index)
 
@@ -110,7 +110,6 @@ def simulate(
     mode: str = "full",
     kappa: float | None = None,
     offline=None,
-    tol: Tolerances = DEFAULT,
 ) -> ClosedLoopTrace:
     """Run the receding-horizon loop for `steps` control steps.
 
@@ -164,12 +163,11 @@ def simulate(
             k, why, trace=ClosedLoopTrace(records, status="infeasible", meta=meta)
         )
 
-    act_band = tol.act * (1.0 + np.abs(p.w))
-    feas_floor = -tol.feas * (1.0 + np.abs(p.w))
+    feas_floor = -p.feas_band
     prev = None          # last step's x, G z, slacks S x + w - G z, active mask
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
-            scenario.stripped_param_rows.contains(x, tol.feas)
+            scenario.stripped_param_rows.contains(x, FEAS)
         ):
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
@@ -190,7 +188,7 @@ def simulate(
                                  _ball_radius(kappa, x_prev, x), active_prev)
             if mode != "adaptive-online":
                 sample = offline.nearest(x)
-                check_sample(p, sample, tol)
+                check_sample(p, sample)
                 near = _sample_mask(p, kappa, sample, x)
             if mode == "adaptive-online":
                 keep = own
@@ -206,7 +204,7 @@ def simulate(
                 keep = (own, near)[nearest_index(pair, x)]
             idx = IndexSet.from_mask(keep)
         t1 = time.perf_counter()
-        sol = qp_solve(p, x, idx=idx, tol=tol)
+        sol = qp_solve(p, x, idx=idx)
         t2 = time.perf_counter()
         if not sol.is_optimal:
             fail(k, f"QP solve returned {sol.status}")
@@ -219,7 +217,7 @@ def simulate(
             b = p.rhs(x)
         gz = p.G @ z
         slack = b - gz
-        prev = (x, gz, slack, np.abs(slack) <= act_band)
+        prev = (x, gz, slack, np.abs(slack) <= p.act_band)
         records.append(StepRecord(
             k, x.copy(), u, p.n_c if idx is None else len(idx),
             sol.iterations, wall, step_mode,
@@ -277,7 +275,7 @@ def default_offline_spacing(scenario) -> float:
 
 def build_offline_dataset(
     scenario, spacing: float | None = None, centers=None,
-    seed: int = 0, n_coverage: int = 10_000, tol: Tolerances = DEFAULT,
+    seed: int = 0, n_coverage: int = 10_000,
 ) -> OfflineDataset:
     """Solve the condensed problem on a grid over the terminal set (or on
     explicit centers) and package the results for nearest-neighbor reuse.
@@ -306,7 +304,7 @@ def build_offline_dataset(
             axes.append(anchor[i] + spacing * np.arange(lo, hi + 1))
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.column_stack([m.ravel() for m in mesh])
-        points = [pt for pt in points if region.contains(pt, tol.feas)]
+        points = [pt for pt in points if region.contains(pt, FEAS)]
         geometry = {"kind": "grid", "spacing": float(spacing),
                     "anchor": anchor.tolist()}
     else:
@@ -316,12 +314,12 @@ def build_offline_dataset(
     samples = []
     anchor_kept = False
     for pt in points:
-        sol = qp_solve(p, pt, tol=tol)
+        sol = qp_solve(p, pt)
         if not sol.is_optimal:
             warnings.warn(f"skipping infeasible point {pt}")
             continue
         samples.append(
-            SolvedSample(pt, sol.z_star, p.active_set(pt, sol.z_star, tol)))
+            SolvedSample(pt, sol.z_star, p.active_set(pt, sol.z_star)))
         if spacing is not None and np.array_equal(pt, anchor):
             anchor_kept = True
     if not samples:
@@ -343,7 +341,7 @@ def build_offline_dataset(
     worst = 0.0
     centers_arr = np.array([s.x_hat for s in samples])
     for x in draws:
-        if not region.contains(x, tol.feas):
+        if not region.contains(x, FEAS):
             continue
         worst = max(worst, float(
             np.linalg.norm(centers_arr - x, axis=1).min()))

@@ -20,7 +20,7 @@ import numpy as np
 from .milp import milp_solve
 from .mpqp import MpQp, SolvedSample
 from .simplex import INFEASIBLE, OPTIMAL, lp_solve
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import FEAS
 
 
 class NotInPolyhedron(Exception):
@@ -88,8 +88,8 @@ class LiftedPolyhedron:
         """Signed distance from v to each facet half-space boundary."""
         return self.slacks(v) / self.row_norms
 
-    def contains(self, v, tol: Tolerances = DEFAULT) -> bool:
-        return bool(np.all(self.slacks(v) >= -tol.feas * (1.0 + np.abs(self.w))))
+    def contains(self, v) -> bool:
+        return bool(np.all(self.slacks(v) >= -FEAS * (1.0 + np.abs(self.w))))
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -126,9 +126,9 @@ def lift_point(sample: SolvedSample) -> np.ndarray:
     return np.concatenate([sample.x_hat, sample.z_star])
 
 
-def containment_count(L: LiftedPolyhedron, v, r: float, tol: Tolerances = DEFAULT) -> int:
+def containment_count(L: LiftedPolyhedron, v, r: float) -> int:
     """How many facet half-spaces contain the closed ball B(v, r)."""
-    if not L.contains(v, tol):
+    if not L.contains(v):
         worst = float(L.distances(v).min())
         raise NotInPolyhedron(f"point is outside (worst distance {worst:.3e})")
     return int(np.count_nonzero(r <= L.distances(v)))

@@ -31,7 +31,7 @@ from .mpqp import IndexSet, MpQp
 from .qpsolver import qp_solve
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import lp_solve
-from .tolerances import DEFAULT, rank_tol
+from .tolerances import KKT, rank_tol
 from .trim import check_kappa
 
 # row sets evaluated per batched slope computation
@@ -159,7 +159,7 @@ def _realizable(p: MpQp, p_rows: np.ndarray, rows: np.ndarray) -> bool:
     cost[-1] = -1.0
     bounds = [(None, None)] * p.n_x + [(None, 1.0)]
     res = lp_solve(cost, C, -rc[:, -1], bounds=bounds)
-    return res.status == LP_OPTIMAL and res.x[-1] > DEFAULT.kkt
+    return res.status == LP_OPTIMAL and res.x[-1] > KKT
 
 
 def _steepest_piece(p: MpQp, floor: float):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import NotPositiveDefinite, cholesky
-from .tolerances import DEFAULT, Tolerances, rank_tol
+from .tolerances import ACT, FEAS, rank_tol
 
 
 class NonPositiveScale(Exception):
@@ -195,6 +195,18 @@ class MpQp:
         """0-based positions of all-zero rows of G, which validate() reports."""
         return np.flatnonzero(self.g_row_norms <= 0.0)
 
+    @cached_property
+    def act_band(self) -> np.ndarray:
+        """Per-row activity band ACT * (1 + |w|): a row whose slack is
+        this close to zero is active."""
+        return ACT * (1.0 + np.abs(self.w))
+
+    @cached_property
+    def feas_band(self) -> np.ndarray:
+        """Per-row feasibility band FEAS * (1 + |w|): the violation a
+        solved point may show on a row."""
+        return FEAS * (1.0 + np.abs(self.w))
+
     # -- queries ------------------------------------------------------------
 
     def rhs(self, x) -> np.ndarray:
@@ -205,10 +217,9 @@ class MpQp:
         """w + S x - G z; nonnegative on the feasible set."""
         return self.rhs(x) - self.G @ np.asarray(z, dtype=float)
 
-    def active_set(self, x, z, tol: Tolerances = DEFAULT) -> IndexSet:
-        """Indices whose slack magnitude is within act-tol of zero."""
-        s = self.slacks(x, z)
-        return IndexSet.from_mask(np.abs(s) <= tol.act * (1.0 + np.abs(self.w)))
+    def active_set(self, x, z) -> IndexSet:
+        """Indices whose slack magnitude is within act_band of zero."""
+        return IndexSet.from_mask(np.abs(self.slacks(x, z)) <= self.act_band)
 
     def licq_holds(self, active: IndexSet) -> bool:
         """Numerical row rank of the active gradients equals their count."""

@@ -8,7 +8,8 @@ row whenever its multiplier reaches zero on the way. No LP is needed: an
 empty feasible set shows as a violated row that depends on the working
 rows with no multiplier left to shift onto. Every iterate satisfies
 stationarity, z = -H^-1 (F' x + G' lam), so z is recomputed from the
-multipliers rather than accumulated.
+multipliers rather than accumulated. The solver reports no active set;
+solve_sample reads one from the slacks with MpQp.active_set.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import FEAS
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -27,9 +28,10 @@ ROUNDING = 1e-10
 
 @dataclass
 class QpSolution:
+    """Minimizer and multipliers of one solve; both None when infeasible."""
+
     z_star: np.ndarray | None
     lam: np.ndarray | None       # multipliers aligned with the solved index set
-    active: IndexSet | None      # slack-test active set, 1-based global indices
     status: str
     iterations: int = 0
 
@@ -51,26 +53,26 @@ def qp_solve(
     p: MpQp,
     x,
     idx: IndexSet | None = None,
-    tol: Tolerances = DEFAULT,
     max_iter: int | None = None,
 ) -> QpSolution:
     """Solve the trimmed QP at parameter x over constraint subset idx.
 
     Every solve starts cold, at the unconstrained minimizer; `iterations`
-    counts that start and every row the loop adds or drops. A NaN or
-    infinite parameter raises ValueError.
+    counts that start and every row the loop adds or drops. A kept row
+    counts as satisfied when its violation is at most FEAS * (1 + max|b|)
+    over the kept right-hand sides b. A NaN or infinite parameter raises
+    ValueError.
     """
     x = finite_parameter(x)
     b = p.rhs(x)
     if idx is None:
         rows = None
-        G, Y, quads, w = p.G, p.hi_gt, p.g_quads, p.w
+        G, Y, quads = p.G, p.hi_gt, p.g_quads
     else:
         rows = idx.zero_based()
-        G, Y, b = p.G[rows], None, b[rows]
-        quads, w = p.g_quads[rows], p.w[rows]
+        G, Y, b, quads = p.G[rows], None, b[rows], p.g_quads[rows]
     n = len(b)
-    feas_slack = tol.feas * (1.0 + np.abs(b).max(initial=0.0))
+    feas_slack = FEAS * (1.0 + np.abs(b).max(initial=0.0))
     if max_iter is None:
         max_iter = 50 * (p.n_z + n) + 100
 
@@ -82,17 +84,11 @@ def qp_solve(
     j = None                 # the violated row being added
     for _ in range(max_iter):
         if j is None:
-            slack = b - G @ z
-            viol = -slack
+            viol = G @ z - b
             if work:
                 viol[work] = -np.inf
             if viol.max(initial=-np.inf) <= feas_slack:
-                near = np.flatnonzero(
-                    np.abs(slack) <= tol.act * (1.0 + np.abs(w)))
-                active = near if rows is None else rows[near]
-                return QpSolution(z, np.maximum(lam, 0.0),
-                                  IndexSet._of_sorted(active + 1), OPTIMAL,
-                                  iterations)
+                return QpSolution(z, np.maximum(lam, 0.0), OPTIMAL, iterations)
             j = int(np.argmax(viol))
         iterations += 1
         if Y is None:        # a trimmed solve copies its columns only now
@@ -107,7 +103,7 @@ def qp_solve(
         elif shift.size:
             t_full = np.inf
         else:
-            return QpSolution(None, None, None, INFEASIBLE, iterations)
+            return QpSolution(None, None, INFEASIBLE, iterations)
         t = min(t_drop, t_full)
         lam[work] -= t * r
         lam[j] += t
@@ -123,9 +119,11 @@ def qp_solve(
     raise ArithmeticError("active-set iteration limit exceeded")
 
 
-def solve_sample(p: MpQp, x, tol: Tolerances = DEFAULT) -> SolvedSample:
-    """Solve the full problem at x and package it as a reusable sample."""
-    sol = qp_solve(p, x, tol=tol)
+def solve_sample(p: MpQp, x) -> SolvedSample:
+    """Solve the full problem at x and package it as a reusable sample,
+    with the active set p.active_set reads from the minimizer's slacks."""
+    x = finite_parameter(x)
+    sol = qp_solve(p, x)
     if not sol.is_optimal:
         raise ValueError(f"problem is infeasible at x={np.asarray(x)}")
-    return SolvedSample(x, sol.z_star, sol.active)
+    return SolvedSample(x, sol.z_star, p.active_set(x, sol.z_star))

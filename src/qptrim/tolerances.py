@@ -2,26 +2,14 @@
 
 Every feasibility / activity / stationarity test in the package scales its
 base tolerance by (1 + relevant norm), so the constants here are relative.
+The per-row bands of an mp-QP are MpQp.feas_band and MpQp.act_band.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance profile threaded through solvers and classifiers."""
-
-    feas: float = 1e-8   # constraint violation
-    act: float = 1e-7    # active-set membership (slack magnitude)
-    kkt: float = 1e-7    # stationarity / multiplier sign
-
-
-DEFAULT = Tolerances()
-STRICT = Tolerances(feas=1e-10, act=1e-9, kkt=1e-9)
-
-PROFILES = {"default": DEFAULT, "strict": STRICT}
+FEAS = 1e-8   # constraint violation
+ACT = 1e-7    # active-set membership (slack magnitude)
+KKT = 1e-7    # stationarity / multiplier sign
 
 
 def rank_tol(a: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
-from .tolerances import DEFAULT, Tolerances
 
 
 class NotInactive(Exception):
@@ -62,7 +61,7 @@ class TrimOutcome:
         return cls.from_dict(json.loads(text))
 
 
-def check_sample(p: MpQp, sample: SolvedSample, tol: Tolerances = DEFAULT) -> None:
+def check_sample(p: MpQp, sample: SolvedSample) -> None:
     """Raise ValueError unless the sample is consistent with the problem."""
     x = np.atleast_1d(np.asarray(sample.x_hat, dtype=float))
     z = np.atleast_1d(np.asarray(sample.z_star, dtype=float))
@@ -72,11 +71,10 @@ def check_sample(p: MpQp, sample: SolvedSample, tol: Tolerances = DEFAULT) -> No
             f"problem (n_x={p.n_x}, n_z={p.n_z})"
         )
     slack = p.slacks(x, z)
-    worst = slack + tol.feas * (1.0 + np.abs(p.w))
-    if np.any(worst < 0.0):
+    if np.any(slack + p.feas_band < 0.0):
         bad = int(np.argmin(slack)) + 1
         raise ValueError(f"sample infeasible at row {bad}: slack {slack[bad - 1]:.3e}")
-    if p.active_set(x, z, tol) != sample.active:
+    if p.active_set(x, z) != sample.active:
         raise ValueError(
             f"sample active set {sample.active} inconsistent with slacks"
         )
@@ -133,14 +131,12 @@ def removal_test(p: MpQp, kappa: float, sample: SolvedSample, x, j: int) -> bool
     return not _sample_mask(p, kappa, sample, x)[j - 1]
 
 
-def trim_single(
-    p: MpQp, kappa: float, sample: SolvedSample, x, tol: Tolerances = DEFAULT
-) -> TrimOutcome:
+def trim_single(p: MpQp, kappa: float, sample: SolvedSample, x) -> TrimOutcome:
     """Safe index set from one solved sample: active rows plus every inactive
     row that fails the removal test."""
     check_kappa(kappa)
     x = finite_parameter(x)
-    check_sample(p, sample, tol)
+    check_sample(p, sample)
     keep = _sample_mask(p, kappa, sample, x)
     return TrimOutcome(
         kept=IndexSet.from_mask(keep),
@@ -167,7 +163,6 @@ def trim_multi(
     samples,
     x,
     assume_licq: bool = False,
-    tol: Tolerances = DEFAULT,
 ) -> TrimOutcome:
     """Sequential fold over several solved samples.
 
@@ -184,14 +179,14 @@ def trim_multi(
             kept=IndexSet.full(p.n_c), removed=IndexSet(), radius=0.0, samples_used=0
         )
     if len(samples) == 1:
-        return trim_single(p, kappa, samples[0], x, tol)
+        return trim_single(p, kappa, samples[0], x)
     if not assume_licq:
         # Folding is only proven safe under a family-wide independence
         # assumption the code cannot check, so default to the nearest sample.
         near = nearest_index(np.array([s.x_hat for s in samples]), x)
-        return trim_single(p, kappa, samples[near], x, tol)
+        return trim_single(p, kappa, samples[near], x)
     for k, s in enumerate(samples):
-        check_sample(p, s, tol)
+        check_sample(p, s)
         if not p.licq_holds(s.active):
             raise LicqViolation(
                 f"sample {k} (x_hat={np.atleast_1d(s.x_hat).tolist()}) has "
@@ -209,12 +204,7 @@ def trim_multi(
 
 
 def certify(
-    p: MpQp,
-    kappa: float,
-    sample: SolvedSample,
-    x,
-    outcome: TrimOutcome,
-    tol: Tolerances = DEFAULT,
+    p: MpQp, kappa: float, sample: SolvedSample, x, outcome: TrimOutcome
 ) -> bool:
     """Re-verify every removed row from scratch.
 
@@ -227,14 +217,13 @@ def certify(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     slack_here = p.slacks(x, sample.z_star)
     slack_at_sample = p.slacks(sample.x_hat, sample.z_star)
-    act_band = tol.act * (1.0 + np.abs(p.w))
     radius = _ball_radius(kappa, sample.x_hat, x)
     ok = True
     for j in outcome.removed:
         s_j = slack_here[j - 1]
         ok = (
             ok
-            and slack_at_sample[j - 1] > act_band[j - 1]
+            and slack_at_sample[j - 1] > p.act_band[j - 1]
             and s_j >= 0.0
             and s_j >= radius * p.g_row_norms[j - 1]
         )

@@ -39,7 +39,6 @@ from .polyhedra import Polyhedron
 from .qpsolver import qp_solve, solve_sample
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import lp_solve
-from .tolerances import DEFAULT
 from .trim import LicqViolation, removal_test, trim_multi, trim_single
 
 
@@ -560,10 +559,10 @@ def kept_cardinality(seed=0, n_instances=100) -> CriterionResult:
 # criterion 6: double-integrator closed loop
 
 
-def _offline_with_cap(sc, kappa, table, seed, tol=DEFAULT):
+def _offline_with_cap(sc, kappa, table, seed):
     """Coarsest grid whose coverage radius yields a nontrivial kept cap."""
     for spacing in (0.2, 0.1, 0.075, 0.05, 0.04, 0.03):
-        ds = build_offline_dataset(sc, spacing=spacing, seed=seed, tol=tol)
+        ds = build_offline_dataset(sc, spacing=spacing, seed=seed)
         cap = theorem3_bound(kappa, table, ds.coverage, sc.condensed.n_z)
         if cap is not None and cap < sc.condensed.n_c:
             return ds, cap

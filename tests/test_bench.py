@@ -1,10 +1,14 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from qptrim.bench import BenchConfig, BenchResult, MetricsRow, run_bench
 from qptrim.plants import gen_double_integrator, gen_oscillating_masses
+
+
+GOLDEN_CSV = pathlib.Path(__file__).parent / "data" / "bench_double_integrator_seed3.csv"
 
 
 def small_config(**kw):
@@ -55,6 +59,16 @@ class TestRunBench:
         header = a.splitlines()[0]
         assert header == "k,mode,kept_mean,kept_pct,time_pct,iters_mean"
 
+    def test_numeric_columns_match_golden(self):
+        # `qptrim bench double-integrator --modes full,adaptive-online,
+        # offline-nearest,hybrid --draws 8 --steps 40 --seed 3`, recorded
+        # without its time_pct column
+        res = run_bench(BenchConfig(
+            scenario=gen_double_integrator(),
+            modes=("full", "adaptive-online", "offline-nearest", "hybrid"),
+            n_draws=8, steps=40, seed=3))
+        assert strip_time_column(res.csv()) + "\n" == GOLDEN_CSV.read_text()
+
     def test_bad_kappa_flags_violations(self):
         # an over-confident constant with a too-coarse offline net removes
         # rows that matter; the harness must notice the trajectories split
@@ -81,6 +95,7 @@ class TestRunBench:
             assert f["mode"] == "adaptive-online" and f["step"] >= 1
             assert "violates row" in f["error"]
         assert res.rows == [] and res.traces == {}
+        assert not res.ok
 
     def test_output_files(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "bench"))

@@ -173,6 +173,14 @@ def test_bench_flags_equivalence_violation(capsys):
     assert rc == 1
 
 
+def test_bench_exits_nonzero_on_run_failures(capsys):
+    # kappa=0 makes every masses-3 run stop with InfeasibleAtStep
+    rc = main(["bench", "masses-3", "--modes", "adaptive-online",
+               "--kappa", "0", "--draws", "3", "--steps", "10"])
+    assert capsys.readouterr().err.count("run failure") == 3
+    assert rc == 1
+
+
 def test_verify_subcommand_writes_report(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     assert main(["verify", "--criteria", "1", "--out", str(rep)]) == 0

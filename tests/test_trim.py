@@ -288,7 +288,8 @@ class TestTrimMulti:
                 continue
             x = x0 + rng.normal(scale=0.3, size=p.n_x)
             full = qp_solve(p, x)
-            if not (full.is_optimal and p.licq_holds(full.active)):
+            if not (full.is_optimal
+                    and p.licq_holds(p.active_set(x, full.z_star))):
                 continue
             out = trim_multi(p, glc(p).kappa, samples, x, assume_licq=True)
             trimmed = qp_solve(p, x, out.kept)
