@@ -11,6 +11,7 @@ caller-supplied bounding box, since the lifted set need not be bounded for
 a general mp-QP.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -79,6 +80,24 @@ class LiftedPolyhedron:
     @property
     def n_v(self) -> int:
         return self.H_lift.shape[1]
+
+    @functools.cached_property
+    def big_m(self) -> float:
+        """A big-M wide enough to exempt any row anywhere in the box: the
+        largest facet distance reachable there, plus 1. One LP per row, run
+        once per polyhedron."""
+        _require_box(self)
+        box_pairs = [tuple(row) for row in self.box]
+        worst = 0.0
+        for j in range(self.n_c):
+            res = lp_solve(self.H_lift[j] / self.row_norms[j], self.H_lift,
+                           self.w, box_pairs)
+            if res.status == INFEASIBLE:
+                raise UnboundedLift("polyhedron does not meet the box")
+            if res.status != OPTIMAL:
+                raise ArithmeticError(f"big-M probe LP returned {res.status}")
+            worst = max(worst, self.w[j] / self.row_norms[j] - res.objective)
+        return worst + 1.0
 
     def slacks(self, v) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -175,20 +194,6 @@ def sigma_sample(
     return float(kth.min())
 
 
-def _auto_big_m(L: LiftedPolyhedron) -> float:
-    """One LP per row: the largest facet distance reachable in the box."""
-    box_pairs = [tuple(row) for row in L.box]
-    worst = 0.0
-    for j in range(L.n_c):
-        res = lp_solve(L.H_lift[j] / L.row_norms[j], L.H_lift, L.w, box_pairs)
-        if res.status == INFEASIBLE:
-            raise UnboundedLift("polyhedron does not meet the box")
-        if res.status != OPTIMAL:
-            raise ArithmeticError(f"big-M probe LP returned {res.status}")
-        worst = max(worst, L.w[j] / L.row_norms[j] - res.objective)
-    return worst + 1.0
-
-
 def sigma_milp(
     L: LiftedPolyhedron,
     i: int,
@@ -198,7 +203,7 @@ def sigma_milp(
 
     Encodes "at least i+1 distances do not exceed r" with one binary per
     row exempting it from the bound, a budget of n_c-i-1 exemptions, and a
-    big-M wide enough to deactivate any row (derived from per-row LPs).
+    big-M wide enough to deactivate any row (`LiftedPolyhedron.big_m`).
     A sampled upper bound seeds the search's incumbent. Strict inequalities
     in the encoding are relaxed to non-strict, which leaves the infimum
     unchanged.
@@ -209,7 +214,7 @@ def sigma_milp(
     r_max = _default_r_max(L) if r_max is None else float(r_max)
     if i >= L.n_c:
         return r_max
-    m = _auto_big_m(L)
+    m = L.big_m
     n_c, n_v = L.n_c, L.n_v
     n = n_v + 1 + n_c  # v, r, delta
     unit = L.H_lift / L.row_norms[:, None]

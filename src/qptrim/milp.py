@@ -1,8 +1,21 @@
 """Small mixed-integer LP solver: branch and bound over the bounded simplex.
 
 Scope is deliberately narrow (the ball-coverage threshold problems produced
-by the lifted-polyhedron module): best-first node selection, most-fractional
-branching, no cuts. Single-threaded and fully deterministic.
+by the lifted-polyhedron module): best-first node selection (Land & Doig
+1960), most-fractional branching, no cuts. Single-threaded and fully
+deterministic.
+
+Among nodes with equal bounds the most recently pushed pops first, so a
+search whose nodes all share one bound (every sigma_i = 0 problem) dives to
+an integral leaf instead of sweeping the tree breadth first.
+
+Only the root relaxation is a cold two-phase `lp_solve`. A child differs
+from its parent by one bound, so the parent's optimal basis stays dual
+feasible: each child re-optimises a copy of its parent's simplex state with
+the dual simplex (`Relaxation.rebound`). A child is solved cold instead when
+its branched variable sits on two tableau columns (a free integer
+variable), when its dual loop reaches _DUAL_CAP pivots, or when its point
+misses the original rows or bounds by more than FEAS.
 """
 
 import itertools
@@ -13,6 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _expand_bounds, lp_solve
+from .tolerances import FEAS
+
+INT_TOL = 1e-6   # a value this close to an integer counts as integral
+_DUAL_CAP = 500  # dual pivots after which a child is solved cold
 
 
 class MilpTimeout(Exception):
@@ -38,18 +55,17 @@ def milp_solve(
     bounds=None,
     integer=(),
     incumbent=None,
-    int_tol: float = 1e-6,
     node_limit: int = 1_000_000,
-    max_iter=None,
 ) -> MilpResult:
     """Minimize cost@x subject to C@x <= d and bounds, with x[j] integral
     for every j in `integer`.
 
-    Best-first on the relaxation bound; branches on the most fractional
-    integer variable. `incumbent` may seed the upper bound with the
-    objective of a feasible integral point known to the caller; if nothing
-    better is found, the result carries that objective with x=None. Nodes
-    that cannot improve the incumbent by more than 1e-9 are pruned.
+    Best-first on the relaxation bound, depth first among equal bounds;
+    branches on the most fractional integer variable. `incumbent` may seed
+    the upper bound with the objective of a feasible integral point known to
+    the caller; if nothing better is found, the result carries that
+    objective with x=None. Nodes that cannot improve the incumbent by more
+    than 1e-9 are pruned.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.size
@@ -57,12 +73,35 @@ def milp_solve(
     if int_vars and not (0 <= int_vars[0] and int_vars[-1] < n):
         raise ValueError(f"integer indices out of range for {n} variables")
     lo, hi = _expand_bounds(bounds, n)
+    if C is None or np.size(C) == 0:
+        rows, rhs = np.zeros((0, n)), np.zeros(0)
+    else:
+        rows = np.atleast_2d(np.asarray(C, dtype=float))
+        rhs = np.atleast_1d(np.asarray(d, dtype=float))
 
-    def relax(lo_n, hi_n):
-        return lp_solve(cost, C, d, list(zip(lo_n, hi_n)), max_iter=max_iter)
+    def cold(lo_n, hi_n):
+        return lp_solve(cost, C, d, list(zip(lo_n, hi_n)))
+
+    def holds(x, lo_n, hi_n):
+        """x meets the original rows and bounds within FEAS."""
+        return bool(
+            np.all(rows @ x - rhs <= FEAS * (1.0 + np.abs(rhs)))
+            and np.all(x >= lo_n - FEAS * (1.0 + np.abs(lo_n)))
+            and np.all(x <= hi_n + FEAS * (1.0 + np.abs(hi_n)))
+        )
+
+    def child(parent, j, lo_c, hi_c):
+        """The child's relaxation, re-optimised from its parent's tableau
+        where that serves, else cold."""
+        rel = None
+        if parent.state is not None:
+            rel = parent.state.rebound(j, lo_c[j], hi_c[j], _DUAL_CAP)
+        if rel is None or (rel.status == OPTIMAL and not holds(rel.x, lo_c, hi_c)):
+            rel = cold(lo_c, hi_c)
+        return rel
 
     nodes = 1
-    root = relax(lo, hi)
+    root = cold(lo, hi)
     if root.status == UNBOUNDED:
         return MilpResult(UNBOUNDED, None, None, nodes)
     if root.status != OPTIMAL:
@@ -71,12 +110,13 @@ def milp_solve(
     best_val = math.inf if incumbent is None else float(incumbent)
     best_x = None
     tick = itertools.count()
-    heap = [(root.objective, next(tick), root.x, lo, hi)]
+    heap = [(root.objective, -next(tick), root, lo, hi)]
     while heap:
-        bound, _, x, lo_n, hi_n = heapq.heappop(heap)
+        bound, _, rel, lo_n, hi_n = heapq.heappop(heap)
         if bound >= best_val - 1e-9:
             break
-        fractional = [j for j in int_vars if abs(x[j] - round(x[j])) > int_tol]
+        x = rel.x
+        fractional = [j for j in int_vars if abs(x[j] - round(x[j])) > INT_TOL]
         if not fractional:
             best_val = bound
             best_x = x.copy()
@@ -95,9 +135,9 @@ def milp_solve(
             lo_c, hi_c = lo_n.copy(), hi_n.copy()
             lo_c[j], hi_c[j] = child_lo, child_hi
             nodes += 1
-            rel = relax(lo_c, hi_c)
-            if rel.status == OPTIMAL and rel.objective < best_val - 1e-9:
-                heapq.heappush(heap, (rel.objective, next(tick), rel.x, lo_c, hi_c))
+            sub = child(rel, j, lo_c, hi_c)
+            if sub.status == OPTIMAL and sub.objective < best_val - 1e-9:
+                heapq.heappush(heap, (sub.objective, -next(tick), sub, lo_c, hi_c))
 
     if best_x is None and incumbent is None:
         return MilpResult(INFEASIBLE, None, None, nodes)

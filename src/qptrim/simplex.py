@@ -1,4 +1,5 @@
-"""Dense LP solver: bounded-variable primal simplex, two phases.
+"""Dense LP solver: bounded-variable primal simplex, two phases, and a dual
+simplex that re-optimises after a bound change.
 
 Solves   min cost @ x   s.t.  C @ x <= d,  lo <= x <= hi.
 
@@ -6,9 +7,17 @@ Statuses are values, never exceptions: infeasible and unbounded instances are
 normal outcomes. Pricing is Dantzig's rule; after 5*(n+m) iterations without
 objective progress it switches to Bland's rule, which guarantees termination.
 Deterministic by construction (no randomness, fixed tie-breaking).
+
+An optimal result keeps its final simplex state (`LpResult.state`). Tightening
+the bounds of one variable leaves that basis dual feasible, so
+`Relaxation.rebound` re-optimises a copy with the dual simplex (Lemke 1954):
+the most violated basic row leaves, and the entering column minimises
+|r_q / T[i, q]| over the columns that can move that row back to its bound.
+Branch and bound (milp.py) re-optimises every child node this way.
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +27,8 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _RATIO_TOL = 1e-9
+_FEAS_TOL = 1e-9   # a basic value this far (relative) outside its bounds is violated
+_TIE_TOL = 1e-12   # dual ratios this close count as tied
 
 
 @dataclass
@@ -26,6 +37,7 @@ class LpResult:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
+    state: "Relaxation | None" = field(default=None, repr=False, compare=False)
 
 
 def _expand_bounds(bounds, n):
@@ -52,15 +64,18 @@ def _expand_bounds(bounds, n):
 class _Tableau:
     """Bounded simplex state: full tableau plus explicit variable values.
 
-    All internal variables live in [0, upper] (upper may be inf). The tableau
-    rows are kept equal to B^-1 @ A by pivoting; current values are tracked
-    directly, which sidesteps the usual rhs bookkeeping for nonbasic-at-upper
-    variables.
+    Internal variable k equals lower[k] + val[k] with 0 <= val[k] <= upper[k]
+    (upper may be inf), so the pivoting loops only ever see [0, upper]. A
+    cold solve has every lower at 0; a bound change (set_bounds) moves it.
+    The tableau rows are kept equal to B^-1 @ A by pivoting; current values
+    are tracked directly, which sidesteps the usual rhs bookkeeping for
+    nonbasic-at-upper variables.
     """
 
     def __init__(self, A, upper):
         self.m, self.n = A.shape
         self.T = A.astype(float).copy()
+        self.lower = np.zeros(self.n)
         self.upper = upper.astype(float).copy()
         self.val = np.zeros(self.n)
         self.at_upper = np.zeros(self.n, dtype=bool)
@@ -68,10 +83,13 @@ class _Tableau:
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.iterations = 0
 
-    def set_basic(self, row, var, value):
-        self.basis[row] = var
-        self.in_basis[var] = True
-        self.val[var] = value
+    def copy(self):
+        new = copy.copy(self)
+        new.iterations = 0
+        for name in ("T", "lower", "upper", "val", "at_upper", "basis",
+                     "in_basis"):
+            setattr(new, name, getattr(self, name).copy())
+        return new
 
     def objective(self, cost):
         return float(cost @ self.val)
@@ -105,10 +123,9 @@ class _Tableau:
 
     def _pick_entering(self, r, ctol, bland):
         # improving: at lower bound with r < 0, or at upper bound with r > 0
-        movable = ~self.in_basis & (self.upper > 0)
         eligible = np.flatnonzero(
-            (movable & ~self.at_upper & (r < -ctol))
-            | (movable & self.at_upper & (r > ctol))
+            (np.where(self.at_upper, r, -r) > ctol)
+            & ~self.in_basis & (self.upper > 0.0)
         )
         if eligible.size == 0:
             return None
@@ -160,9 +177,69 @@ class _Tableau:
         self.pivot(leave_row, enter)
 
     def pivot(self, row, col):
-        self.T[row] /= self.T[row, col]
-        other = np.arange(self.m) != row
-        self.T[other] -= np.outer(self.T[other, col], self.T[row])
+        prow = self.T[row] / self.T[row, col]
+        self.T -= np.outer(self.T[:, col], prow)
+        self.T[row] = prow
+
+    def set_bounds(self, var, lower, upper):
+        """New bounds lower <= lower[var] + val[var] <= upper, inside the
+        current ones. A basic column keeps its value; a nonbasic one moves to
+        its new bound, and the basic values follow by -T[:, var] * delta."""
+        shift = lower - self.lower[var]
+        self.lower[var] = lower
+        self.upper[var] = upper - lower
+        if self.in_basis[var]:
+            self.val[var] -= shift
+            return
+        offset = self.upper[var] if self.at_upper[var] else 0.0
+        delta = shift + offset - self.val[var]
+        if delta:
+            self.val[self.basis] -= self.T[:, var] * delta
+        self.val[var] = offset
+
+    def dual(self, cost, max_pivots):
+        """Dual simplex from a dual feasible basis. Returns True when the
+        basis is primal feasible (optimal), False when a violated row has no
+        eligible entering column (infeasible), None after max_pivots pivots."""
+        # +1: nonbasic, free to rise from its lower bound; -1: free to fall
+        # from its upper bound; 0: basic or fixed
+        move = np.where(self.at_upper, -1.0, 1.0)
+        move[self.in_basis | (self.upper <= 0.0)] = 0.0
+        r = cost - cost[self.basis] @ self.T
+        for _ in range(max_pivots):
+            bvals = self.val[self.basis]
+            above = bvals - self.upper[self.basis]
+            excess = np.maximum(-bvals, above) - _FEAS_TOL * (1.0 + np.abs(bvals))
+            row = int(np.argmax(excess))
+            if excess[row] <= 0.0:
+                return True
+            leave = int(self.basis[row])
+            raise_it = bvals[row] < 0.0
+            t_row = self.T[row]
+            # how far x_B[row] moves toward its bound per unit step of each column
+            toward = move * (-t_row if raise_it else t_row)
+            eligible = np.flatnonzero(toward > _PIVOT_TOL)
+            if eligible.size == 0:
+                return False
+            ratio = np.abs(r[eligible] / t_row[eligible])
+            tied = eligible[ratio <= ratio.min() + _TIE_TOL]
+            enter = int(tied[np.argmax(np.abs(t_row[tied]))])
+            target = 0.0 if raise_it else self.upper[leave]
+            step = (bvals[row] - target) / t_row[enter]
+            self.iterations += 1
+            self.val[self.basis] -= self.T[:, enter] * step
+            self.val[enter] += step
+            self.in_basis[leave] = False
+            self.at_upper[leave] = not raise_it
+            self.val[leave] = target
+            self.basis[row] = enter
+            self.in_basis[enter] = True
+            self.pivot(row, enter)
+            r -= r[enter] * self.T[row]
+            move[enter] = 0.0
+            if self.upper[leave] > 0.0:
+                move[leave] = 1.0 if raise_it else -1.0
+        return None
 
 
 def _solve_box_only(cost, lo, hi, n):
@@ -185,12 +262,13 @@ def _solve_box_only(cost, lo, hi, n):
     return LpResult(OPTIMAL, x, float(cost @ x))
 
 
-def lp_solve(cost, C=None, d=None, bounds=None, max_iter=None) -> LpResult:
+def lp_solve(cost, C=None, d=None, bounds=None) -> LpResult:
     """Minimize cost @ x subject to C @ x <= d and optional box bounds.
 
     bounds may be None (free), one (lo, hi) pair for all variables, or a
     per-variable sequence; None endpoints mean unbounded. Returns an LpResult
-    whose status is one of "optimal", "infeasible", "unbounded".
+    whose status is one of "optimal", "infeasible", "unbounded"; an optimal
+    result over at least one row keeps its simplex state.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.shape[0]
@@ -205,91 +283,106 @@ def lp_solve(cost, C=None, d=None, bounds=None, max_iter=None) -> LpResult:
     lo, hi = _expand_bounds(bounds, n)
     if m == 0:
         return _solve_box_only(cost, lo, hi, n)
+    return Relaxation(cost, C, d, lo, hi).solve()
 
-    # Rewrite onto variables y >= 0: shift when lo is finite, mirror when only
-    # hi is finite, split free variables into a difference of two columns.
-    cols, fcost, base = [], [], np.zeros(n)
-    recover = []  # (kind, j) per y-column
-    for j in range(n):
-        if np.isfinite(lo[j]):
-            base[j] = lo[j]
-            cols.append(C[:, j])
-            fcost.append(cost[j])
-            recover.append(("shift", j))
-        elif np.isfinite(hi[j]):
-            base[j] = hi[j]
-            cols.append(-C[:, j])
-            fcost.append(-cost[j])
-            recover.append(("mirror", j))
-        else:
-            cols.append(C[:, j])
-            fcost.append(cost[j])
-            recover.append(("plus", j))
-            cols.append(-C[:, j])
-            fcost.append(-cost[j])
-            recover.append(("minus", j))
-    A = np.column_stack(cols) if cols else np.zeros((m, 0))
-    fcost = np.asarray(fcost)
-    ny = A.shape[1]
-    uy = np.full(ny, np.inf)
-    for k, (kind, j) in enumerate(recover):
-        if kind == "shift" and np.isfinite(hi[j]):
-            uy[k] = hi[j] - lo[j]
-    b = d - C @ base
 
-    # standard form with slacks; flip negative rows and give them artificials
-    A_all = np.hstack([A, np.eye(m)])
-    upper = np.concatenate([uy, np.full(m, np.inf)])
-    neg = b < 0
-    A_all[neg] *= -1.0
-    b = np.abs(b)
-    art_rows = np.flatnonzero(neg)
-    n_art = art_rows.size
-    if n_art:
-        art_cols = np.zeros((m, n_art))
-        art_cols[art_rows, np.arange(n_art)] = 1.0
-        A_all = np.hstack([A_all, art_cols])
-        upper = np.concatenate([upper, np.full(n_art, np.inf)])
-    n_tot = A_all.shape[1]
+class Relaxation:
+    """An LP over C x <= d, lo <= x <= hi in the tableau's bounded form.
 
-    tab = _Tableau(A_all, upper)
-    for i in range(m):
-        if neg[i]:
-            tab.set_basic(i, int(ny + m + np.searchsorted(art_rows, i)), b[i])
-        else:
-            tab.set_basic(i, ny + i, b[i])
+    Each x[j] sits on tableau column col[j] as y = sign[j] * (x[j] - base[j]):
+    shifted (sign +1, base lo) when lo is finite, mirrored (sign -1, base hi)
+    when only hi is, and split into a difference of columns col[j] and
+    col[j] + 1 when free.
+    """
 
-    if max_iter is None:
+    def __init__(self, cost, C, d, lo, hi):
+        m, n = C.shape
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        free = ~(fin_lo | fin_hi)
+        self.cost, self.free = cost, free
+        self.sign = np.where(fin_hi & ~fin_lo, -1.0, 1.0)
+        self.base = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
+        n_free = int(np.count_nonzero(free))
+        self.col = np.arange(n) + np.cumsum(free) - free if n_free else np.arange(n)
+        ny = n + n_free
+        b = d - C @ self.base
+        # standard form [A, slacks, artificials]: rows with b < 0 are
+        # flipped, and each of them gets an artificial
+        neg = b < 0
+        art_rows = np.flatnonzero(neg)
+        n_art = art_rows.size
+        A_all = np.zeros((m, ny + m + n_art))
+        A_all[:, self.col] = C * self.sign
+        if n_free:
+            A_all[:, self.col[free] + 1] = -C[:, free]
+        np.fill_diagonal(A_all[:, ny:ny + m], 1.0)
+        A_all[neg, :ny + m] *= -1.0
+        A_all[art_rows, ny + m + np.arange(n_art)] = 1.0
+        upper = np.full(A_all.shape[1], np.inf)
+        boxed = fin_lo & fin_hi
+        upper[self.col[boxed]] = hi[boxed] - lo[boxed]
+        self.n_art, self.ny, self.d_max = n_art, ny, np.abs(d).max(initial=0.0)
+        # phase-2 cost; slacks and artificials cost nothing
+        self.ycost = np.zeros(A_all.shape[1])
+        self.ycost[self.col] = cost * self.sign
+        if n_free:
+            self.ycost[self.col[free] + 1] = -cost[free]
+
+        # start from the slack basis, with artificials on the flipped rows
+        self.tab = tab = _Tableau(A_all, upper)
+        tab.basis[:] = np.arange(ny, ny + m)
+        tab.basis[art_rows] = ny + m + np.arange(n_art)
+        tab.in_basis[tab.basis] = True
+        tab.val[tab.basis] = np.abs(b)
+
+    def solve(self) -> LpResult:
+        """Two-phase primal simplex from the slack/artificial basis."""
+        tab, ny, m = self.tab, self.ny, self.tab.m
+        n_tot = tab.n
         max_iter = 10000 + 200 * (m + n_tot)
-    bland_after = 5 * (m + n_tot)
+        bland_after = 5 * (m + n_tot)
+        if self.n_art:
+            phase1 = np.zeros(n_tot)
+            phase1[ny + m:] = 1.0
+            tab.run(phase1, max_iter, bland_after)
+            if tab.objective(phase1) > 1e-9 * (1.0 + self.d_max):
+                return LpResult(INFEASIBLE, iterations=tab.iterations)
+            _evict_artificials(tab, ny + m)
+            # lock artificials at zero so phase 2 never moves them
+            tab.upper[ny + m:] = 0.0
+        if not tab.run(self.ycost, max_iter, bland_after):
+            return LpResult(UNBOUNDED, iterations=tab.iterations)
+        return self._result()
 
-    if n_art:
-        phase1 = np.zeros(n_tot)
-        phase1[ny + m:] = 1.0
-        tab.run(phase1, max_iter, bland_after)
-        feas_tol = 1e-9 * (1.0 + np.abs(d).max(initial=0.0))
-        if tab.objective(phase1) > feas_tol:
-            return LpResult(INFEASIBLE, iterations=tab.iterations)
-        _evict_artificials(tab, ny + m)
-        # lock artificials at zero so phase 2 never moves them
-        tab.upper[ny + m:] = 0.0
+    def _result(self) -> LpResult:
+        val = self.tab.lower + self.tab.val
+        x = self.base + self.sign * val[self.col]
+        x[self.free] -= val[self.col[self.free] + 1]
+        return LpResult(OPTIMAL, x, float(self.cost @ x), self.tab.iterations,
+                        state=self)
 
-    cost2 = np.zeros(n_tot)
-    cost2[:ny] = fcost
-    if not tab.run(cost2, max_iter, bland_after):
-        return LpResult(UNBOUNDED, iterations=tab.iterations)
+    def rebound(self, j, lo, hi, max_pivots) -> LpResult | None:
+        """Re-optimise a copy under lo <= x[j] <= hi, an interval inside the
+        current bounds of x[j], with the dual simplex from this basis.
 
-    x = base.copy()
-    for k, (kind, j) in enumerate(recover):
-        if kind == "shift":
-            x[j] = lo[j] + tab.val[k]
-        elif kind == "mirror":
-            x[j] = hi[j] - tab.val[k]
-        elif kind == "plus":
-            x[j] += tab.val[k]
+        Returns the copy's LpResult (optimal or infeasible; iterations counts
+        its dual pivots), or None when x[j] is free here (two columns) or the
+        dual loop stops at max_pivots."""
+        if self.free[j]:
+            return None
+        child = copy.copy(self)
+        child.tab = self.tab.copy()
+        base = self.base[j]
+        if self.sign[j] > 0:
+            child.tab.set_bounds(self.col[j], lo - base, hi - base)
         else:
-            x[j] -= tab.val[k]
-    return LpResult(OPTIMAL, x, float(cost @ x), tab.iterations)
+            child.tab.set_bounds(self.col[j], base - hi, base - lo)
+        done = child.tab.dual(self.ycost, max_pivots)
+        if done is None:
+            return None
+        if not done:
+            return LpResult(INFEASIBLE, iterations=child.tab.iterations)
+        return child._result()
 
 
 def _evict_artificials(tab, first_art):

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qptrim.lifted import (
     LiftedPolyhedron,
@@ -38,6 +41,28 @@ def random_origin_polytope(rng, n_v, n_c, box_half=1.5):
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     w = rng.uniform(0.3, 1.2, size=n_c)
     return LiftedPolyhedron(rows, w, box=(-box_half, box_half))
+
+
+def subset_lp_sigma(L, i):
+    """sigma_i without the MILP: the minimum over (i+1)-row subsets S of the
+    smallest r such that some v in the boxed polyhedron has d_j(v) <= r for
+    every j in S, one scipy LP per subset."""
+    unit = L.H_lift / L.row_norms[:, None]
+    wn = L.w / L.row_norms
+    best = np.inf
+    for rows in itertools.combinations(range(L.n_c), i + 1):
+        S = list(rows)
+        A = np.vstack([np.hstack([L.H_lift, np.zeros((L.n_c, 1))]),
+                       np.hstack([-unit[S], -np.ones((len(S), 1))])])
+        b = np.concatenate([L.w, -wn[S]])
+        cost = np.zeros(L.n_v + 1)
+        cost[-1] = 1.0
+        res = linprog(cost, A_ub=A, b_ub=b,
+                      bounds=[tuple(r) for r in L.box] + [(None, None)],
+                      method="highs")
+        assert res.status == 0
+        best = min(best, res.fun)
+    return best
 
 
 class TestLift:
@@ -166,6 +191,30 @@ class TestSigmaMilp:
                 exact = sigma_milp(L, i)
                 coarse = grid_sigma(L, i, 601)
                 assert abs(exact - coarse) <= 5e-3
+
+    def test_matches_subset_lp_oracle(self):
+        rng = np.random.default_rng(37)
+        for _ in range(8):
+            n_v = int(rng.integers(2, 4))
+            L = random_origin_polytope(rng, n_v, int(rng.integers(n_v + 1, 8)))
+            for i in range(1, min(3, L.n_c - 1) + 1):
+                assert sigma_milp(L, i) == pytest.approx(
+                    subset_lp_sigma(L, i), abs=1e-7)
+
+    def test_big_m_probed_once_per_polyhedron(self, monkeypatch):
+        import qptrim.lifted as lifted_mod
+
+        calls = []
+        real = lifted_mod.lp_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lifted_mod, "lp_solve", counting)
+        L = unit_square()
+        sigma_table(L)
+        assert len(calls) == L.n_c
 
     def test_supplied_big_m_and_degenerate_i(self):
         L = unit_square()

@@ -156,3 +156,133 @@ def test_deterministic():
 def test_bad_integer_index_rejected():
     with pytest.raises(ValueError):
         milp_solve([1.0, 1.0], integer=[5])
+
+
+def brute_force_integer(cost, C, d, bounds, ranges, n_int):
+    """Enumerate the first n_int variables over the given integer ranges;
+    optimize the continuous tail by a cold LP."""
+    best = None
+    for vals in itertools.product(*ranges):
+        fixed = [(float(v), float(v)) for v in vals] + list(bounds[n_int:])
+        res = lp_solve(cost, C, d, fixed)
+        if res.status == OPTIMAL and (best is None or res.objective < best - 1e-12):
+            best = res.objective
+    return best
+
+
+def tied_bound_problem(rng, n_bin=6):
+    """min r over binaries that exempt rows from r >= a_j . y - b_j, with a
+    budget on the exemptions: the relaxation bound is 0 at most nodes, as in
+    the sigma encoding, and the binaries cost nothing."""
+    n_y = 2
+    a = np.round(rng.normal(size=(n_bin, n_y)), 1)
+    b = np.round(rng.uniform(0.0, 1.0, size=n_bin), 1)
+    big = 10.0
+    n = n_bin + n_y + 1    # delta, y, r
+    rows, rhs = [], []
+    # a_j . y - b_j - big * delta_j <= r
+    rows.append(np.hstack([-big * np.eye(n_bin), a, -np.ones((n_bin, 1))]))
+    rhs.append(b)
+    # at most n_bin - 3 exemptions
+    rows.append(np.concatenate([np.ones(n_bin), np.zeros(n_y + 1)])[None, :])
+    rhs.append([n_bin - 3.0])
+    cost = np.zeros(n)
+    cost[-1] = 1.0
+    bounds = [(0.0, 1.0)] * n_bin + [(-1.0, 1.0)] * n_y + [(-5.0, None)]
+    return cost, np.vstack(rows), np.concatenate(rhs), bounds
+
+
+def test_tied_relaxation_bounds_match_enumeration():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        cost, C, d, bounds = tied_bound_problem(rng)
+        n_bin = 6
+        res = milp_solve(cost, C, d, bounds, integer=range(n_bin))
+        ref = brute_force_binary(cost, C, d, n_bin, 3, bounds[n_bin:])[0]
+        assert res.is_optimal
+        assert res.objective == pytest.approx(ref, abs=1e-9)
+        assert np.all(C @ res.x <= d + 1e-9)
+
+
+def test_one_sided_and_free_integers_match_enumeration():
+    # x0 integer in [0, inf), x1 integer in (-inf, 3], x2 a free integer
+    # (it sits on two tableau columns, so its children are solved cold);
+    # the rows keep all three within [-6, 6]
+    rng = np.random.default_rng(24)
+    box = np.hstack([np.vstack([np.eye(3), -np.eye(3)]), np.zeros((6, 1))])
+    for _ in range(10):
+        C = np.vstack([box, np.round(rng.normal(size=(3, 4)), 1)])
+        d = np.concatenate([np.full(6, 5.5), rng.uniform(1.0, 4.0, size=3)])
+        cost = np.round(rng.normal(size=4), 2)
+        bounds = [(0.0, None), (None, 3.0), (None, None), (-1.0, 1.0)]
+        res = milp_solve(cost, C, d, bounds, integer=range(3))
+        ref = brute_force_integer(cost, C, d, bounds,
+                                  [range(0, 7), range(-6, 4), range(-6, 7)], 3)
+        if ref is None:
+            assert res.status == INFEASIBLE
+        else:
+            assert res.is_optimal
+            assert res.objective == pytest.approx(ref, abs=1e-9)
+
+
+def test_dual_cap_zero_solves_every_child_cold(monkeypatch):
+    import qptrim.milp as milp_mod
+
+    calls = []
+    cold = milp_mod.lp_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(milp_mod, "lp_solve", counting)
+    rng = np.random.default_rng(25)
+    problems = [tied_bound_problem(rng) for _ in range(6)]
+    results = []
+    for cap in (milp_mod._DUAL_CAP, 0):
+        monkeypatch.setattr(milp_mod, "_DUAL_CAP", cap)
+        for cost, C, d, bounds in problems:
+            calls.clear()
+            res = milp_solve(cost, C, d, bounds, integer=range(6))
+            results.append(res.objective)
+            if cap == 0:
+                assert len(calls) == res.nodes      # every node cold
+            else:
+                assert len(calls) == 1              # only the root
+    warm, cold_only = results[:6], results[6:]
+    np.testing.assert_allclose(warm, cold_only, atol=1e-9, rtol=0.0)
+    for (cost, C, d, bounds), val in zip(problems, cold_only):
+        ref = brute_force_binary(cost, C, d, 6, 3, bounds[6:])[0]
+        assert val == pytest.approx(ref, abs=1e-9)
+
+
+def test_warm_point_off_the_rows_is_solved_cold(monkeypatch):
+    import qptrim.milp as milp_mod
+    from qptrim.simplex import Relaxation
+
+    real = Relaxation.rebound
+
+    def drifted(self, *args):
+        res = real(self, *args)
+        if res is not None and res.status == OPTIMAL:
+            res.x = res.x + 100.0      # past every binary's upper bound
+        return res
+
+    calls = []
+    cold = milp_mod.lp_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(Relaxation, "rebound", drifted)
+    monkeypatch.setattr(milp_mod, "lp_solve", counting)
+    rng = np.random.default_rng(26)
+    for _ in range(4):
+        cost, C, d, bounds = tied_bound_problem(rng)
+        calls.clear()
+        res = milp_solve(cost, C, d, bounds, integer=range(6))
+        ref = brute_force_binary(cost, C, d, 6, 3, bounds[6:])[0]
+        assert res.objective == pytest.approx(ref, abs=1e-9)
+        assert np.all(C @ res.x <= d + 1e-9)
+        assert len(calls) > 1

@@ -157,3 +157,98 @@ def test_shape_validation():
         lp_solve([1.0], np.eye(1), np.zeros(2))
     with pytest.raises(ValueError):
         lp_solve([1.0], bounds=[(2.0, 1.0)])
+
+
+def _rebound_cases(rng):
+    """Random LPs with box rows at +-[1, 3] and variable bounds at +-[0.3,
+    2.5], so that either can be active. Some variables are one-sided (the
+    rows keep them bounded)."""
+    n = int(rng.integers(2, 5))
+    C, d = random_bounded_polytope(rng, n, int(rng.integers(1, 5)))
+    bounds = []
+    for _ in range(n):
+        a, b = -rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5)
+        bounds.append([(a, b), (a, None), (None, b), (a, b)][rng.integers(0, 4)])
+    return C, d, rng.normal(size=n), bounds
+
+
+def _where(state, j):
+    tab, k = state.tab, state.col[j]
+    if tab.upper[k] == 0.0:    # upper is measured from lower
+        return "fixed"
+    if tab.in_basis[k]:
+        return "basic"
+    # a mirrored column sits at its upper bound when x[j] is at its lower
+    return "upper" if tab.at_upper[k] else "lower"
+
+
+def _assert_warm_matches_cold(warm, cold, C, d, lo, hi):
+    assert warm.status == cold.status
+    if cold.status != OPTIMAL:
+        return
+    assert abs(warm.objective - cold.objective) <= 1e-9
+    assert (C @ warm.x - d).max() <= 1e-9 * (1.0 + np.abs(d).max())
+    assert np.all(warm.x >= lo - 1e-9) and np.all(warm.x <= hi + 1e-9)
+
+
+def test_rebound_matches_cold_solve_after_one_bound_change():
+    rng = np.random.default_rng(51)
+    seen = set()
+    for _ in range(60):
+        C, d, cost, bounds = _rebound_cases(rng)
+        parent = lp_solve(cost, C, d, bounds)
+        assert parent.status == OPTIMAL
+        lo = np.array([-np.inf if a is None else a for a, _ in bounds])
+        hi = np.array([np.inf if b is None else b for _, b in bounds])
+        for j in range(len(cost)):
+            low, high = max(lo[j], -4.0), min(hi[j], 4.0)
+            x_j = min(max(parent.x[j], low), high)
+            intervals = [
+                (rng.uniform(x_j, high), hi[j]),      # cut off x_j from below
+                (lo[j], rng.uniform(low, x_j)),       # cut off x_j from above
+                (rng.uniform(low, high),) * 2,        # fix the column
+                (high - 0.02, hi[j]),                 # near the ends: may be
+                (lo[j], low + 0.02),                  # past the rows
+            ]
+            for a, b in intervals:
+                warm = parent.state.rebound(j, a, b, 500)
+                assert warm is not None
+                lo_c, hi_c = lo.copy(), hi.copy()
+                lo_c[j], hi_c[j] = a, b
+                cold = lp_solve(cost, C, d, list(zip(lo_c, hi_c)))
+                _assert_warm_matches_cold(warm, cold, C, d, lo_c, hi_c)
+                seen.add(_where(parent.state, j))
+                seen.add("child " + warm.status)
+                if warm.status == OPTIMAL:
+                    seen.add("child " + _where(warm.state, j))
+    assert {"basic", "lower", "upper", "child fixed", "child optimal",
+            "child infeasible"} <= seen
+
+
+def test_rebound_chains_through_grandchildren():
+    rng = np.random.default_rng(52)
+    for _ in range(30):
+        C, d, cost, bounds = _rebound_cases(rng)
+        lo = np.array([-np.inf if a is None else a for a, _ in bounds])
+        hi = np.array([np.inf if b is None else b for _, b in bounds])
+        res = lp_solve(cost, C, d, bounds)
+        for _ in range(4):
+            j = int(rng.integers(len(cost)))
+            a = max(lo[j], -4.0) + rng.uniform(0.0, 0.6)
+            b = min(hi[j], 4.0) - rng.uniform(0.0, 0.6)
+            if a > b:
+                break
+            lo[j], hi[j] = a, b
+            res = res.state.rebound(j, a, b, 500)
+            cold = lp_solve(cost, C, d, list(zip(lo, hi)))
+            _assert_warm_matches_cold(res, cold, C, d, lo, hi)
+            if res.status != OPTIMAL:
+                break
+
+
+def test_rebound_declines_free_column():
+    C, d = random_bounded_polytope(np.random.default_rng(53), 2, 2)
+    res = lp_solve([1.0, -1.0], C, d, [(None, None), (-4.0, 4.0)])
+    assert res.status == OPTIMAL
+    assert res.state.rebound(0, 0.0, 1.0, 500) is None
+    assert res.state.rebound(1, 0.0, 1.0, 500) is not None
