@@ -46,7 +46,6 @@ from .mpc import (
     lqr_gain,
     max_invariant_set,
     scenario_from_dict,
-    scenario_from_json,
     terminal_ingredients,
     zoh_discretize,
 )
@@ -61,7 +60,7 @@ from .mpqp import (
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .polyhedra import Polyhedron
 from .qpsolver import qp_solve, solve_sample
-from .trim import LicqViolation, TrimOutcome, removal_test, trim_multi, trim_single
+from .trim import LicqViolation, TrimOutcome, trim_multi, trim_single
 
 __version__ = "0.1.0"
 
@@ -101,12 +100,10 @@ __all__ = [
     "lqr_gain",
     "max_invariant_set",
     "qp_solve",
-    "removal_test",
     "run_bench",
     "samples_from_json",
     "samples_to_json",
     "scenario_from_dict",
-    "scenario_from_json",
     "sigma_milp",
     "sigma_sample",
     "sigma_table",

@@ -44,6 +44,19 @@ def _load_problem(path) -> MpQp:
     return p
 
 
+def _load_samples(path) -> list:
+    """Solved samples from a JSON list; a malformed file exits naming it."""
+    try:
+        samples = samples_from_json(pathlib.Path(path).read_text())
+    except KeyError as exc:
+        raise SystemExit(f"invalid samples {path}: a sample lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid samples {path}: {exc}") from None
+    if not samples:
+        raise SystemExit(f"samples file {path} is empty")
+    return samples
+
+
 def _load_scenario(spec: str) -> dict:
     """Path to a scenario file, or a builtin name like masses-3."""
     if os.path.exists(spec):
@@ -103,9 +116,7 @@ def cmd_trim(args) -> int:
     p = _load_problem(args.problem)
     x = _parse_vector(args.x)
     kappa = resolve_kappa(args.kappa, p)
-    samples = samples_from_json(pathlib.Path(args.samples).read_text())
-    if not samples:
-        raise SystemExit("samples file is empty")
+    samples = _load_samples(args.samples)
     out = trim_multi(p, kappa, samples, x, assume_licq=args.assume_licq)
     _emit(args, out.to_json(indent=2))
     return 0

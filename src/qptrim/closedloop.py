@@ -20,8 +20,7 @@ from .lipschitz import glc_scaled_estimate
 from .mpqp import IndexSet, MpQp, SolvedSample
 from .qpsolver import qp_solve
 from .tolerances import FEAS
-from .trim import (_ball_radius, _kept_mask, _sample_mask, check_kappa,
-                   check_sample, nearest_index)
+from .trim import _kept_mask, check_kappa, check_sample, nearest_index
 
 MODES = ("full", "adaptive-online", "offline-nearest", "hybrid")
 
@@ -131,14 +130,16 @@ def simulate(
 
     Each step computes S x + w once, and G z once after its solve. Their
     difference is the full rows' slack vector, from which the step reads
-    its active set. The next step trims against this solution with the
-    slacks S x' + w - G z, bitwise the values p.slacks(x', z) gives, in
-    one removal test over all rows (trim._kept_mask). The loop's own
-    solution is not re-validated with check_sample: its active set is
-    read from its own slacks, so only its feasibility is checked, and a
-    violated row raises InfeasibleAtStep. Offline samples still go
-    through check_sample. StepRecord.wall_time runs from the state to the
-    input, trim included; t_trim and t_solve split it.
+    its active set. A trimmed step hands S x' + w and one (x_hat, G z*,
+    active mask) triple per sample to the removal fold trim._kept_mask,
+    which tests every row against S x' + w - G z*, bitwise the values
+    p.slacks(x', z*) gives. The loop's own triple is kept from its last
+    step and not re-validated with check_sample: its active set is read
+    from its own slacks, so only its feasibility is checked, and a
+    violated row raises InfeasibleAtStep. The offline sample is still
+    validated by check_sample on every step, with one slack computation,
+    since the dataset may be user-built. StepRecord.wall_time runs from
+    the state to the input, trim included; t_trim and t_solve split it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -164,7 +165,7 @@ def simulate(
         )
 
     feas_floor = -p.feas_band
-    prev = None          # last step's x, G z, slacks S x + w - G z, active mask
+    own = slack_prev = None   # last step's (x, G z, active mask), its slack
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
             scenario.stripped_param_rows.contains(x, FEAS)
@@ -175,34 +176,27 @@ def simulate(
         b = idx = None
         if step_mode != "full":
             b = p.rhs(x)
+            samples = []
             if mode != "offline-nearest":
-                # the loop's own sample: its slacks at x are b - G z_prev,
-                # and its active set holds by construction; only its
-                # feasibility is left to check
-                x_prev, gz_prev, slack_prev, active_prev = prev
+                # the loop's own sample: its active set holds by
+                # construction; only its feasibility is left to check
                 if (slack_prev < feas_floor).any():
                     j = int(np.argmin(slack_prev))
                     fail(k, f"previous solution violates row {j + 1}: "
                             f"slack {slack_prev[j]:.3e}")
-                own = _kept_mask(p, b - gz_prev,
-                                 _ball_radius(kappa, x_prev, x), active_prev)
+                samples.append(own)
             if mode != "adaptive-online":
                 sample = offline.nearest(x)
-                check_sample(p, sample)
-                near = _sample_mask(p, kappa, sample, x)
-            if mode == "adaptive-online":
-                keep = own
-            elif mode == "offline-nearest":
-                keep = near
-            elif (p.licq_holds(IndexSet.from_mask(active_prev))
-                  and p.licq_holds(sample.active)):
-                keep = own & near
-            else:
+                samples.append((sample.x_hat, check_sample(p, sample),
+                                sample.active.to_mask(p.n_c)))
+            if mode == "hybrid" and not (
+                    p.licq_holds(IndexSet.from_mask(own[2]))
+                    and p.licq_holds(sample.active)):
                 # dependent active rows: trim against the nearer sample
                 # alone, as trim_multi does without the LICQ assertion
-                pair = np.array([x_prev, sample.x_hat])
-                keep = (own, near)[nearest_index(pair, x)]
-            idx = IndexSet.from_mask(keep)
+                pair = np.array([own[0], sample.x_hat])
+                samples = [samples[nearest_index(pair, x)]]
+            idx = IndexSet.from_mask(_kept_mask(p, kappa, x, b, samples))
         t1 = time.perf_counter()
         sol = qp_solve(p, x, idx=idx)
         t2 = time.perf_counter()
@@ -216,8 +210,8 @@ def simulate(
         if b is None:
             b = p.rhs(x)
         gz = p.G @ z
-        slack = b - gz
-        prev = (x, gz, slack, np.abs(slack) <= p.act_band)
+        slack_prev = b - gz
+        own = (x, gz, np.abs(slack_prev) <= p.act_band)
         records.append(StepRecord(
             k, x.copy(), u, p.n_c if idx is None else len(idx),
             sol.iterations, wall, step_mode,

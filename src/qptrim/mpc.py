@@ -2,7 +2,6 @@
 set, and condensation of the finite-horizon problem into an mp-QP whose
 parameter is the current state."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +266,3 @@ def scenario_from_dict(data: dict) -> MpcScenario:
         XN = Polyhedron.from_dict(terminal)
         P = dare(A, B, Q, R)
     return condense(A, B, Q, R, N, X, U, XN, P=P, name=data.get("name"))
-
-
-def scenario_from_json(text: str) -> MpcScenario:
-    return scenario_from_dict(json.loads(text))

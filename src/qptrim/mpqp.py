@@ -32,7 +32,11 @@ class IndexSet:
     __slots__ = ("_idx",)
 
     def __init__(self, indices=(), n_c: int | None = None):
-        idx = np.unique(np.array([int(i) for i in indices], dtype=np.intp))
+        vals = [float(i) for i in indices]
+        bad = [v for v in vals if not v.is_integer()]
+        if bad:
+            raise ValueError(f"constraint indices are integers, got {bad[0]}")
+        idx = np.unique(np.array(vals, dtype=np.intp))
         if idx.size and idx[0] < 1:
             raise ValueError(f"constraint indices are 1-based, got {idx[0]}")
         if n_c is not None and idx.size and idx[-1] > n_c:
@@ -189,11 +193,6 @@ class MpQp:
     @cached_property
     def g_row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.G, axis=1)
-
-    @cached_property
-    def g_zero_rows(self) -> np.ndarray:
-        """0-based positions of all-zero rows of G, which validate() reports."""
-        return np.flatnonzero(self.g_row_norms <= 0.0)
 
     @cached_property
     def act_band(self) -> np.ndarray:

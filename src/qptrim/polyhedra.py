@@ -40,9 +40,6 @@ class Polyhedron:
         res = lp_solve(np.zeros(self.dim), self.C, self.d)
         return res.status == INFEASIBLE
 
-    def origin_interior(self) -> bool:
-        return bool(np.all(self.d > 0.0))
-
     def support(self, direction):
         """max c@x over the set; +inf when unbounded in that direction."""
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
@@ -85,12 +82,6 @@ class Polyhedron:
             else:
                 i += 1
         return Polyhedron(self.C[keep], self.d[keep])
-
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return Polyhedron(np.vstack([self.C, other.C]),
-                          np.concatenate([self.d, other.d]))
 
     def to_dict(self) -> dict:
         return {"C": self.C.tolist(), "d": self.d.tolist()}

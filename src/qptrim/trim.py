@@ -8,6 +8,13 @@ without changing the solution. Folding several samples shrinks the kept set
 further, but is only safe when active gradients are independent everywhere
 (the two-halfplanes example shows what goes wrong otherwise), so the
 multi-sample path is gated behind an explicit caller assertion.
+
+Every caller reaches the test through one fold, _kept_mask: trim_single,
+trim_multi and closedloop.simulate hand it the right-hand side S x + w at
+x and one (x_hat, G z*, active mask) triple per sample. A given sample is
+validated by check_sample, which computes its slack once and returns its
+G z*; the closed loop still checks its offline sample this way on every
+step, and only skips it for the sample it solved itself.
 """
 
 import json
@@ -17,10 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
-
-
-class NotInactive(Exception):
-    """Removal test queried for a constraint that is active in the sample."""
 
 
 class LicqViolation(Exception):
@@ -44,25 +47,17 @@ class TrimOutcome:
             "samples_used": self.samples_used,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrimOutcome":
-        return cls(
-            kept=IndexSet(data["kept"]),
-            removed=IndexSet(data["removed"]),
-            radius=float(data["radius"]),
-            samples_used=int(data["samples_used"]),
-        )
-
     def to_json(self, indent=None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrimOutcome":
-        return cls.from_dict(json.loads(text))
 
+def check_sample(p: MpQp, sample: SolvedSample) -> np.ndarray:
+    """Raise ValueError unless the sample is consistent with the problem;
+    return its row image G z*.
 
-def check_sample(p: MpQp, sample: SolvedSample) -> None:
-    """Raise ValueError unless the sample is consistent with the problem."""
+    The sample's slack S x_hat + w - G z* is computed once: it must be
+    feasible within the problem's band, and the rows within the activity
+    band must be exactly the sample's stored active set."""
     x = np.atleast_1d(np.asarray(sample.x_hat, dtype=float))
     z = np.atleast_1d(np.asarray(sample.z_star, dtype=float))
     if x.shape != (p.n_x,) or z.shape != (p.n_z,):
@@ -70,14 +65,16 @@ def check_sample(p: MpQp, sample: SolvedSample) -> None:
             f"sample shapes x_hat{x.shape}, z_star{z.shape} do not match "
             f"problem (n_x={p.n_x}, n_z={p.n_z})"
         )
-    slack = p.slacks(x, z)
+    gz = p.G @ z
+    slack = p.rhs(x) - gz
     if np.any(slack + p.feas_band < 0.0):
         bad = int(np.argmin(slack)) + 1
         raise ValueError(f"sample infeasible at row {bad}: slack {slack[bad - 1]:.3e}")
-    if p.active_set(x, z) != sample.active:
+    if IndexSet.from_mask(np.abs(slack) <= p.act_band) != sample.active:
         raise ValueError(
             f"sample active set {sample.active} inconsistent with slacks"
         )
+    return gz
 
 
 def check_kappa(kappa) -> None:
@@ -92,43 +89,23 @@ def _ball_radius(kappa: float, x_hat, x) -> float:
     return float(kappa) * math.sqrt(d.dot(d))   # np.linalg.norm, bitwise
 
 
-def _kept_mask(p: MpQp, slack, radius: float, active) -> np.ndarray:
-    """Rows that stay: the sample's active rows (bool mask `active`) plus
-    every inactive row whose half-space at x does not contain the ball of
-    `radius` around the sample minimizer, given the minimizer's slacks at
-    x. Containment is radius <= slack_j / ||G_j||, equality included.
-    This is the only copy of the removal test."""
-    norms, zero = p.g_row_norms, p.g_zero_rows
-    if zero.size:
-        # degenerate 0*z rows: satisfied by every z or by none
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dist = slack / norms
-        dist[zero] = np.where(slack[zero] >= 0.0, np.inf, -np.inf)
-    else:
-        dist = slack / norms
-    return active | ~(radius <= dist)
+def _kept_mask(p: MpQp, kappa: float, x, b, samples) -> np.ndarray:
+    """Rows that stay at parameter x, whose right-hand side S x + w is b,
+    folded over the solved samples: (x_hat, G z*, active mask) triples.
 
-
-def _sample_mask(p: MpQp, kappa: float, sample: SolvedSample, x) -> np.ndarray:
-    """_kept_mask for a solved sample at parameter x."""
-    return _kept_mask(p, p.slacks(x, sample.z_star),
-                      _ball_radius(kappa, sample.x_hat, x),
-                      sample.active.to_mask(p.n_c))
-
-
-def removal_test(p: MpQp, kappa: float, sample: SolvedSample, x, j: int) -> bool:
-    """True when inactive row j is certifiably redundant at parameter x.
-
-    The ball of radius kappa*||x - x_hat|| around the sample minimizer must
-    lie in row j's half-space at x; equality counts as contained. j is
-    1-based.
-    """
-    if not 1 <= j <= p.n_c:
-        raise ValueError(f"row index {j} out of range 1..{p.n_c}")
-    if j in sample.active:
-        raise NotInactive(f"row {j} is active in the sample")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return not _sample_mask(p, kappa, sample, x)[j - 1]
+    Each sample keeps its active rows plus every inactive row whose
+    half-space at x does not contain the ball of radius kappa*||x - x_hat||
+    around z*: containment is radius*||G_j|| <= b_j - G_j z*, equality
+    included. Written without a division, it also removes a 0*z row
+    exactly when the row holds. A row stays only when every sample keeps
+    it; `samples` holds at least one triple. This is the only copy of the
+    removal test."""
+    keep = None
+    for x_hat, gz, active in samples:
+        radius = _ball_radius(kappa, x_hat, x)
+        mask = active | ~(radius * p.g_row_norms <= b - gz)
+        keep = mask if keep is None else keep & mask
+    return keep
 
 
 def trim_single(p: MpQp, kappa: float, sample: SolvedSample, x) -> TrimOutcome:
@@ -136,8 +113,9 @@ def trim_single(p: MpQp, kappa: float, sample: SolvedSample, x) -> TrimOutcome:
     row that fails the removal test."""
     check_kappa(kappa)
     x = finite_parameter(x)
-    check_sample(p, sample)
-    keep = _sample_mask(p, kappa, sample, x)
+    gz = check_sample(p, sample)
+    keep = _kept_mask(p, kappa, x, p.rhs(x),
+                      [(sample.x_hat, gz, sample.active.to_mask(p.n_c))])
     return TrimOutcome(
         kept=IndexSet.from_mask(keep),
         removed=IndexSet.from_mask(~keep),
@@ -185,16 +163,16 @@ def trim_multi(
         # assumption the code cannot check, so default to the nearest sample.
         near = nearest_index(np.array([s.x_hat for s in samples]), x)
         return trim_single(p, kappa, samples[near], x)
+    triples = []
     for k, s in enumerate(samples):
-        check_sample(p, s)
+        gz = check_sample(p, s)
         if not p.licq_holds(s.active):
             raise LicqViolation(
                 f"sample {k} (x_hat={np.atleast_1d(s.x_hat).tolist()}) has "
                 f"linearly dependent active rows {list(s.active.indices)}"
             )
-    mask = np.ones(p.n_c, dtype=bool)
-    for s in samples:
-        mask &= _sample_mask(p, kappa, s, x)
+        triples.append((s.x_hat, gz, s.active.to_mask(p.n_c)))
+    mask = _kept_mask(p, kappa, x, p.rhs(x), triples)
     return TrimOutcome(
         kept=IndexSet.from_mask(mask),
         removed=IndexSet.from_mask(~mask),

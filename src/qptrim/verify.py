@@ -39,7 +39,7 @@ from .polyhedra import Polyhedron
 from .qpsolver import qp_solve, solve_sample
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import lp_solve
-from .trim import LicqViolation, removal_test, trim_multi, trim_single
+from .trim import LicqViolation, trim_multi, trim_single
 
 
 @dataclass
@@ -79,8 +79,8 @@ class CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# shared generators (mirrors of the test-suite helpers; the gate must run
-# from an installed package, so it carries its own copies)
+# shared generators (the test suite's helpers import these, so the gate and
+# the tests draw the same instances from the installed package)
 
 
 def _random_spd(rng, n, floor=0.3):
@@ -448,8 +448,8 @@ def threshold_exactness(seed=0) -> CriterionResult:
                 if done >= per_poly:
                     break
 
-    # every row counted at radius sqrt(1+kappa^2)*dist in the joint space
-    # must pass the per-row removal test at radius kappa*dist
+    # every inactive row counted at radius sqrt(1+kappa^2)*dist in the
+    # joint space must be removed by trim_single at radius kappa*dist
     removal_viol = 0
     configs = 0
     while configs < 1000:
@@ -471,10 +471,9 @@ def threshold_exactness(seed=0) -> CriterionResult:
         if counted.size == 0:
             continue
         configs += 1
+        kept = trim_single(p, kappa, s, x).kept
         for j in counted:
-            if int(j) in s.active:
-                continue
-            if not removal_test(p, kappa, s, x, int(j)):
+            if int(j) not in s.active and int(j) in kept:
                 removal_viol += 1
 
     passed = grid_dev <= 5e-3 and mono_ok and contain_viol == 0 and removal_viol == 0

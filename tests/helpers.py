@@ -1,42 +1,17 @@
 """Shared generators for randomized tests.
 
 Instances are built around a known strictly feasible point so feasibility is
-guaranteed by construction rather than by rejection.
+guaranteed by construction rather than by rejection. The generic random
+instance, its SPD Hessian and the feasible-parameter search are the release
+gate's own generators (qptrim.verify), imported under shorter names.
 """
 
 import numpy as np
 
 from qptrim.mpqp import MpQp
-from qptrim.qpsolver import qp_solve
-
-
-def random_spd(rng, n, floor=0.3):
-    m = rng.normal(size=(n, n))
-    return m.T @ m + (floor + rng.random()) * np.eye(n)
-
-
-def random_mpqp(rng, n_z, n_x, n_c, slack_lo=0.1, slack_hi=2.0):
-    """Random valid instance plus a strictly feasible parameter."""
-    H = random_spd(rng, n_z)
-    F = rng.normal(size=(n_x, n_z))
-    G = rng.normal(size=(n_c, n_z))
-    # keep rows well away from zero
-    norms = np.linalg.norm(G, axis=1)
-    G[norms < 0.3] += np.sign(G[norms < 0.3, :1] + 0.5) * 0.5
-    S = rng.normal(size=(n_c, n_x)) * 0.5
-    z0 = rng.normal(size=n_z)
-    x0 = rng.normal(size=n_x)
-    w = G @ z0 - S @ x0 + rng.uniform(slack_lo, slack_hi, size=n_c)
-    return MpQp(H, F, G, S, w), x0
-
-
-def random_feasible_x(p, rng, x_center, spread=0.5, attempts=50):
-    """A parameter near x_center where the full problem stays feasible."""
-    for _ in range(attempts):
-        x = x_center + spread * rng.normal(size=p.n_x)
-        if qp_solve(p, x).is_optimal:
-            return x
-    return np.asarray(x_center, dtype=float)
+from qptrim.verify import _feasible_shift as random_feasible_x  # noqa: F401
+from qptrim.verify import _random_mpqp as random_mpqp  # noqa: F401
+from qptrim.verify import _random_spd as random_spd
 
 
 def random_bounded_lifted_mpqp(rng, n_x, n_z, n_c, w_lo=0.3, w_hi=1.2, min_gz=0.3):

@@ -101,6 +101,23 @@ def test_trim_rejects_malformed_kappa(prob_file, samples_file, capsys):
     assert "formula" in err and "scaled-formula" in err
 
 
+@pytest.mark.parametrize("spoil, message", [
+    (lambda d: d.update(active=[2.4]), "integers, got 2.4"),
+    (lambda d: d.pop("z_star"), "lacks 'z_star'"),
+], ids=["fractional-index", "missing-key"])
+def test_trim_rejects_malformed_samples(prob_file, tmp_path, spoil, message):
+    # a malformed samples file ends the command with one line naming it
+    sample = solve_sample(example_two_halfplanes(), [-1.0]).to_dict()
+    spoil(sample)
+    f = tmp_path / "bad-samples.json"
+    f.write_text(json.dumps([sample]))
+    with pytest.raises(SystemExit) as exc:
+        main(["trim", prob_file, "--samples", str(f), "-x", "-2",
+              "--kappa", "1.0"])
+    text = str(exc.value)
+    assert message in text and str(f) in text and "\n" not in text
+
+
 def test_sigma_cache_round_trip(prob_file, tmp_path, capsys):
     box = tmp_path / "box.json"
     box.write_text(json.dumps([[-3, 3], [-3, 3]]))

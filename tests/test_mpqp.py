@@ -37,6 +37,11 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet([1, 5], n_c=4)
         IndexSet([1, 4], n_c=4)
+        # an entry that is not an integer value is refused, not truncated
+        for bad in (2.4, 1.5, float("nan"), float("inf"), np.float64(2.9)):
+            with pytest.raises(ValueError, match="integers"):
+                IndexSet([1, bad])
+        assert IndexSet([2.0, np.float64(3.0)]) == IndexSet([2, 3])
 
     def test_set_operations(self):
         a, b = IndexSet([1, 2, 3]), IndexSet([3, 4])

@@ -21,11 +21,6 @@ class TestMembership:
         # rows: x1<=1, x2<=1, -x1<=1, -x2<=1
         assert np.allclose(v, [1.0, -1.0, -3.0, -1.0])
 
-    def test_origin_interior(self):
-        assert unit_box().origin_interior()
-        shifted = Polyhedron([[1.0], [-1.0]], [0.0, 2.0])  # x <= 0
-        assert not shifted.origin_interior()
-
 
 class TestEmptiness:
     def test_nonempty(self):
@@ -73,7 +68,8 @@ class TestBoundingBox:
 
 class TestRedundancy:
     def test_drops_slack_row(self):
-        p = unit_box().intersect(Polyhedron([[1.0, 0.0]], [5.0]))
+        b = unit_box()
+        p = Polyhedron(np.vstack([b.C, [[1.0, 0.0]]]), np.append(b.d, 5.0))
         r = p.remove_redundant()
         assert r.n_rows == 4
 
@@ -114,10 +110,6 @@ class TestConstruction:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             Polyhedron([[1.0, 0.0]], [1.0, 2.0])
-
-    def test_intersect_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            unit_box().intersect(box(1.0, dim=3))
 
     def test_dict_roundtrip(self):
         p = unit_box()

@@ -6,11 +6,9 @@ from qptrim.mpqp import IndexSet, SolvedSample, example_two_halfplanes
 from qptrim.qpsolver import qp_solve, solve_sample
 from qptrim.trim import (
     LicqViolation,
-    NotInactive,
     TrimOutcome,
     certify,
     check_sample,
-    removal_test,
     trim_multi,
     trim_single,
 )
@@ -42,13 +40,12 @@ class TestTwoHalfplanesGolden:
     def test_removal_tests_at_minus_two(self, hp, hp_samples):
         s1, s2 = hp_samples
         # observed slope of the minimizer map is 1, and both slack
-        # distances at x=-2 are exactly 1, so ties decide both removals
-        assert removal_test(hp, 1.0, s1, [-2.0], 1) is True
-        assert removal_test(hp, 1.0, s2, [-2.0], 2) is True
-        with pytest.raises(NotInactive):
-            removal_test(hp, 1.0, s1, [-2.0], 2)
-        with pytest.raises(ValueError):
-            removal_test(hp, 1.0, s1, [-2.0], 3)
+        # distances at x=-2 are exactly 1, so ties decide both removals;
+        # each sample's active row stays
+        out1 = trim_single(hp, 1.0, s1, [-2.0])
+        out2 = trim_single(hp, 1.0, s2, [-2.0])
+        assert 1 in out1.removed and 2 in out1.kept
+        assert 2 in out2.removed and 1 in out2.kept
 
     def test_single_sample_sets(self, hp, hp_samples):
         s1, s2 = hp_samples
@@ -89,11 +86,11 @@ class TestTwoHalfplanesGolden:
 class TestRemovalTest:
     def test_zero_radius_removes_strictly_slack_rows(self, hp, hp_samples):
         s1, _ = hp_samples
-        assert removal_test(hp, 5.0, s1, s1.x_hat, 1) is True
+        assert 1 in trim_single(hp, 5.0, s1, s1.x_hat).removed
 
     def test_huge_kappa_blocks_removal(self, hp, hp_samples):
         s1, _ = hp_samples
-        assert removal_test(hp, 1e9, s1, [-2.0], 1) is False
+        assert 1 in trim_single(hp, 1e9, s1, [-2.0]).kept
 
 
 class TestTrimSingle:
@@ -180,14 +177,13 @@ class TestTrimSingle:
 
     def test_zero_row_removed_only_when_satisfied(self):
         # a 0*z row holds for every z or for none; at a slack of exactly
-        # zero it holds, and its distance is infinite, not 0/0
+        # zero it holds, so it is removed whatever the radius
         from qptrim.mpqp import MpQp
         p = MpQp(H=[[2.0]], F=[[1.0]], G=[[1.0], [0.0], [0.0]],
                  S=[[1.0], [1.0], [1.0]], w=[0.0, 1.0, -0.5])
         s = SolvedSample([1.0], [-0.5], IndexSet())
         out = trim_single(p, 1e3, s, [0.5])
         assert out.kept == IndexSet([1]) and out.removed == IndexSet([2, 3])
-        assert removal_test(p, 1e3, s, [0.5], 3) is True
         # at x = -2 neither 0*z row holds, so both stay
         assert trim_single(p, 1e3, s, [-2.0]).kept == IndexSet.full(3)
 
@@ -348,11 +344,3 @@ def test_understated_constant_is_not_caught_by_certify(hp, hp_samples):
     full = qp_solve(hp, [-3.0])
     trimmed = qp_solve(hp, [-3.0], out.kept)
     assert abs(trimmed.z_star[0] - full.z_star[0]) > 1.0
-
-
-def test_outcome_json_round_trip():
-    out = TrimOutcome(kept=IndexSet([1, 3]), removed=IndexSet([2]),
-                      radius=0.125, samples_used=2)
-    back = TrimOutcome.from_json(out.to_json())
-    assert back.kept == out.kept and back.removed == out.removed
-    assert back.radius == out.radius and back.samples_used == out.samples_used
