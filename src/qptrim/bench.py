@@ -26,6 +26,8 @@ from .simplex import INFEASIBLE, lp_solve
 # largest state or input deviation from the full-solve baseline that
 # still counts as the same trajectory
 EQUIV_TOL = 1e-8
+# draws of the state box tried before draw_initial_states gives up
+_MAX_TRIES = 100_000
 
 
 @dataclass
@@ -86,7 +88,15 @@ class BenchResult:
         return "\n".join([CSV_HEADER] + [r.to_csv_row() for r in self.rows])
 
 
-def draw_initial_states(scenario, n_draws, seed, max_tries=100_000):
+def trace_deviation(trace, baseline) -> float:
+    """Largest per-step state or input gap between two runs."""
+    return max(
+        float(np.abs(trace.states() - baseline.states()).max()),
+        float(np.abs(trace.inputs() - baseline.inputs()).max()),
+    )
+
+
+def draw_initial_states(scenario, n_draws, seed):
     """Uniform QP-feasible draws over the state box.
 
     Feasible starts are recursively feasible thanks to the terminal
@@ -104,7 +114,7 @@ def draw_initial_states(scenario, n_draws, seed, max_tries=100_000):
     draws = []
     tries = 0
     while len(draws) < n_draws:
-        if tries >= max_tries:
+        if tries >= _MAX_TRIES:
             raise RuntimeError("rejection sampling starved; is the feasible "
                                "region a sliver of the state box?")
         x = rng.uniform(bb[:, 0], bb[:, 1])
@@ -151,11 +161,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                                  "error": str(exc)})
                 continue
             traces[(mode, i)] = trace
-            ref = baselines[i]
-            dev = max(
-                float(np.abs(trace.states() - ref.states()).max()),
-                float(np.abs(trace.inputs() - ref.inputs()).max()),
-            )
+            dev = trace_deviation(trace, baselines[i])
             if dev > EQUIV_TOL:
                 violations.append({"mode": mode, "draw": i, "deviation": dev})
 

@@ -29,7 +29,7 @@ from .mpc import scenario_from_dict
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .qpsolver import solve_sample
-from .trim import trim_multi
+from .trim import LicqViolation, trim_multi
 
 
 def _read_json(path):
@@ -117,7 +117,12 @@ def cmd_trim(args) -> int:
     x = _parse_vector(args.x)
     kappa = resolve_kappa(args.kappa, p)
     samples = _load_samples(args.samples)
-    out = trim_multi(p, kappa, samples, x, assume_licq=args.assume_licq)
+    try:
+        out = trim_multi(p, kappa, samples, x, assume_licq=args.assume_licq)
+    except (ValueError, LicqViolation) as exc:
+        # a sample that does not fit the problem: wrong shape, infeasible,
+        # inconsistent active set, or dependent active rows
+        raise SystemExit(f"cannot trim with samples {args.samples}: {exc}") from None
     _emit(args, out.to_json(indent=2))
     return 0
 

@@ -23,6 +23,8 @@ from .tolerances import FEAS
 from .trim import _kept_mask, check_kappa, check_sample, nearest_index
 
 MODES = ("full", "adaptive-online", "offline-nearest", "hybrid")
+# box draws behind a centers dataset's coverage estimate
+_COVERAGE_DRAWS = 10_000
 
 
 class InfeasibleAtStep(Exception):
@@ -117,8 +119,9 @@ def simulate(
       full             re-solve everything
       adaptive-online  trim against the previous step's sample
       offline-nearest  trim against the nearest offline sample
-      hybrid           trim against both; on a degenerate joint active set,
-                       fall back to whichever sample is closer
+      hybrid           trim against both; when either sample's own active
+                       rows are dependent (LICQ fails), trim against
+                       whichever sample is closer
 
     The trimmed modes need a solution-map Lipschitz constant. By default
     they use the row-scaled closed-form estimate of the condensed problem
@@ -243,23 +246,6 @@ class OfflineDataset:
             raise EmptyDataset("dataset has no samples")
         return self.samples[nearest_index(self._points, x)]
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": [s.to_dict() for s in self.samples],
-            "geometry": self.geometry,
-            "coverage": float(self.coverage),
-            "coverage_is_estimate": bool(self.coverage_is_estimate),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OfflineDataset":
-        return cls(
-            samples=[SolvedSample.from_dict(d) for d in data["samples"]],
-            geometry=data["geometry"],
-            coverage=data["coverage"],
-            coverage_is_estimate=data["coverage_is_estimate"],
-        )
-
 
 def default_offline_spacing(scenario) -> float:
     """Grid spacing of a fifth of the terminal set's widest box side."""
@@ -267,10 +253,8 @@ def default_offline_spacing(scenario) -> float:
     return float((bb[:, 1] - bb[:, 0]).max()) / 5.0
 
 
-def build_offline_dataset(
-    scenario, spacing: float | None = None, centers=None,
-    seed: int = 0, n_coverage: int = 10_000,
-) -> OfflineDataset:
+def build_offline_dataset(scenario, spacing: float | None = None,
+                          centers=None) -> OfflineDataset:
     """Solve the condensed problem on a grid over the terminal set (or on
     explicit centers) and package the results for nearest-neighbor reuse.
 
@@ -278,7 +262,8 @@ def build_offline_dataset(
     center, keeps points inside the set, and reports coverage as the cell
     half-diagonal (capped by the set's circumradius when the grid is
     coarser than the set and the anchor itself was kept). Center mode
-    estimates coverage by sampled max-min distance and flags it as such.
+    estimates coverage by the max-min distance over _COVERAGE_DRAWS
+    uniform draws of the set's bounding box (seed 0) and flags it as such.
     """
     if (spacing is None) == (centers is None):
         raise ValueError("give exactly one of spacing or centers")
@@ -330,8 +315,8 @@ def build_offline_dataset(
             coverage = min(coverage, circumradius)
         return OfflineDataset(samples, geometry, coverage, False)
 
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(bb[:, 0], bb[:, 1], size=(n_coverage, n))
+    rng = np.random.default_rng(0)
+    draws = rng.uniform(bb[:, 0], bb[:, 1], size=(_COVERAGE_DRAWS, n))
     worst = 0.0
     centers_arr = np.array([s.x_hat for s in samples])
     for x in draws:

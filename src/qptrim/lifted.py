@@ -121,17 +121,6 @@ class LiftedPolyhedron:
             h.update(np.ascontiguousarray(self.box).tobytes())
         return h.hexdigest()
 
-    def to_dict(self) -> dict:
-        return {
-            "H_lift": self.H_lift.tolist(),
-            "w": self.w.tolist(),
-            "box": None if self.box is None else self.box.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LiftedPolyhedron":
-        return cls(H_lift=data["H_lift"], w=data["w"], box=data.get("box"))
-
 
 def lift(p: MpQp, box=None) -> LiftedPolyhedron:
     """Stack [-S, G] row-wise; feasible (x, z) pairs land inside."""
@@ -153,7 +142,8 @@ def containment_count(L: LiftedPolyhedron, v, r: float) -> int:
     return int(np.count_nonzero(r <= L.distances(v)))
 
 
-def _default_r_max(L: LiftedPolyhedron) -> float:
+def _box_diagonal(L: LiftedPolyhedron) -> float:
+    """The cap on every threshold: the search box's diagonal length."""
     return float(np.linalg.norm(L.box[:, 1] - L.box[:, 0]))
 
 
@@ -167,20 +157,18 @@ def sigma_sample(
     i: int,
     n_samples: int = 20000,
     seed: int = 0,
-    r_max: float | None = None,
 ) -> float:
     """Upper bound on sigma_i: min over sampled interior points of the
     (i+1)-th smallest facet distance.
 
     Always >= the true threshold. For i >= n_c the defining condition is
-    vacuous and the r_max cap (default: box diagonal) is returned.
+    vacuous and the box diagonal is returned.
     """
     _require_box(L)
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    r_max = _default_r_max(L) if r_max is None else float(r_max)
     if i >= L.n_c:
-        return r_max
+        return _box_diagonal(L)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(L.box[:, 0], L.box[:, 1], size=(n_samples, L.n_v))
     dist = (L.w[None, :] - draws @ L.H_lift.T) / L.row_norms[None, :]
@@ -194,11 +182,7 @@ def sigma_sample(
     return float(kth.min())
 
 
-def sigma_milp(
-    L: LiftedPolyhedron,
-    i: int,
-    r_max: float | None = None,
-) -> float:
+def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
     """Exact sigma_i over the boxed polyhedron.
 
     Encodes "at least i+1 distances do not exceed r" with one binary per
@@ -206,14 +190,14 @@ def sigma_milp(
     big-M wide enough to deactivate any row (`LiftedPolyhedron.big_m`).
     A sampled upper bound seeds the search's incumbent. Strict inequalities
     in the encoding are relaxed to non-strict, which leaves the infimum
-    unchanged.
+    unchanged. For i >= n_c the box diagonal is returned, as by
+    sigma_sample.
     """
     _require_box(L)
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    r_max = _default_r_max(L) if r_max is None else float(r_max)
     if i >= L.n_c:
-        return r_max
+        return _box_diagonal(L)
     m = L.big_m
     n_c, n_v = L.n_c, L.n_v
     n = n_v + 1 + n_c  # v, r, delta
@@ -241,7 +225,7 @@ def sigma_milp(
     cost[n_v] = 1.0
     bounds = [tuple(row) for row in L.box] + [(0.0, m)] + [(0.0, 1.0)] * n_c
     try:
-        incumbent = sigma_sample(L, i, n_samples=256, seed=0, r_max=r_max)
+        incumbent = sigma_sample(L, i, n_samples=256, seed=0)
     except NoFeasibleSamples:
         incumbent = None
     res = milp_solve(
@@ -281,24 +265,14 @@ class SigmaTable:
             "r_max": self.r_max,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SigmaTable":
-        return cls(sigma=data["sigma"], method=data["method"],
-                   r_max=float(data["r_max"]))
-
     def to_json(self, indent=None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SigmaTable":
-        return cls.from_dict(json.loads(text))
 
 
 def sigma_table(
     L: LiftedPolyhedron,
     i_max: int | None = None,
     mode: str = "milp",
-    r_max: float | None = None,
     n_samples: int = 20000,
     seed: int = 0,
 ) -> SigmaTable:
@@ -310,19 +284,18 @@ def sigma_table(
     _require_box(L)
     cap = L.n_c - 1
     i_max = cap if i_max is None else min(int(i_max), cap)
-    r_max = _default_r_max(L) if r_max is None else float(r_max)
     if mode not in ("milp", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     values = {}
     prev = 0.0
     for i in range(1, i_max + 1):
         if mode == "milp":
-            val = sigma_milp(L, i, r_max=r_max)
+            val = sigma_milp(L, i)
         else:
-            val = sigma_sample(L, i, n_samples=n_samples, seed=seed, r_max=r_max)
+            val = sigma_sample(L, i, n_samples=n_samples, seed=seed)
         prev = max(val, prev)
         values[i] = prev
-    return SigmaTable(sigma=values, method=mode, r_max=r_max)
+    return SigmaTable(sigma=values, method=mode, r_max=_box_diagonal(L))
 
 
 def theorem3_bound(kappa: float, table: SigmaTable, dist: float, n_z: int):

@@ -24,9 +24,10 @@ def _as_matrix(a) -> np.ndarray:
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T = a for symmetric positive definite a.
 
-    Raises NotPositiveDefinite as soon as a pivot is <= the rank tolerance
-    1e-10 * (inf-norm + 1), so "numerically semidefinite" inputs are rejected
-    rather than silently factored.
+    Raises NotPositiveDefinite when LAPACK's factorization fails or any
+    pivot L[j, j]**2 is <= the rank tolerance 1e-10 * (inf-norm + 1), so
+    "numerically semidefinite" inputs are rejected rather than silently
+    factored.
     """
     a = _as_matrix(a)
     n, m = a.shape
@@ -35,17 +36,18 @@ def cholesky(a) -> np.ndarray:
     sym_slack = 1e-8 * (np.abs(a).max(initial=0.0) + 1.0)
     if n and np.abs(a - a.T).max() > sym_slack:
         raise ValueError("matrix is not symmetric within tolerance")
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
     ptol = rank_tol(a)
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
-        if d <= ptol:
-            raise NotPositiveDefinite(
-                f"pivot {d:.3e} at column {j} is <= tolerance {ptol:.3e}"
-            )
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    pivots = np.diag(L) ** 2
+    low = np.flatnonzero(~(pivots > ptol))     # NaN counts as low
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at column {j} is <= tolerance {ptol:.3e}"
+        )
     return L
 
 

@@ -247,13 +247,12 @@ def empirical_lipschitz(
     trials: int,
     seed: int,
     box=(-5.0, 5.0),
-    subset_prob: float = 0.5,
 ) -> float:
     """Largest observed ratio ||z*(x1,I) - z*(x2,I)|| / ||x1 - x2||.
 
     Parameters are drawn uniformly from the given box (a (lo, hi) pair or
     per-dimension pairs); each trial also draws a random constraint subset
-    including every index with probability subset_prob. Trials where either
+    including every index with probability one half. Trials where either
     trimmed problem is infeasible, or the parameters nearly coincide, are
     skipped. Raises NoValidTrials when nothing usable was drawn.
     """
@@ -270,7 +269,7 @@ def empirical_lipschitz(
         gap = np.linalg.norm(x1 - x2)
         if gap < 1e-9:
             continue
-        keep = IndexSet(np.flatnonzero(rng.random(p.n_c) < subset_prob) + 1)
+        keep = IndexSet(np.flatnonzero(rng.random(p.n_c) < 0.5) + 1)
         s1 = qp_solve(p, x1, keep)
         s2 = qp_solve(p, x2, keep)
         if not (s1.is_optimal and s2.is_optimal):

@@ -10,6 +10,13 @@ from .linalg import NotPositiveDefinite, cholesky, zoh_discretize
 from .mpqp import MpQp
 from .polyhedra import Polyhedron
 from .simplex import OPTIMAL, UNBOUNDED, lp_solve
+from .tolerances import IMPLIED
+
+# Riccati value iteration stops once an iterate changes by at most this,
+# relative to the iterate's largest entry
+_DARE_TOL = 1e-12
+# powers of the closed loop tried before the invariant set is given up
+_MAX_POWERS = 500
 
 
 class NoConvergence(Exception):
@@ -39,11 +46,11 @@ def _check_pd(name, a):
         raise ValueError(f"{name} must be symmetric positive definite: {exc}")
 
 
-def dare(A, B, Q, R, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
+def dare(A, B, Q, R, max_iter: int = 100_000) -> np.ndarray:
     """Discrete-time algebraic Riccati solution by value iteration from Q.
 
-    Stops when the iterate changes by at most tol (scaled); the returned P
-    has a Riccati residual of at most ~10x that.
+    Stops when the iterate changes by at most _DARE_TOL (scaled); the
+    returned P has a Riccati residual of at most ~10x that.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -59,7 +66,7 @@ def dare(A, B, Q, R, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
         P_next = A.T @ P @ A - A.T @ P @ B @ gain + Q
         P_next = 0.5 * (P_next + P_next.T)
         change = np.abs(P_next - P).max()
-        if change <= tol * (1.0 + np.abs(P_next).max()):
+        if change <= _DARE_TOL * (1.0 + np.abs(P_next).max()):
             return P_next
         P = P_next
     raise NoConvergence(
@@ -84,36 +91,36 @@ def lqr_gain(A, B, R, P) -> np.ndarray:
     return -np.linalg.solve(R + BtP @ B, BtP @ A)
 
 
-def max_invariant_set(
-    Acl, constraints: Polyhedron, t_max: int = 500, tol: float = 1e-9
-) -> Polyhedron:
+def max_invariant_set(Acl, constraints: Polyhedron) -> Polyhedron:
     """Largest set of states whose closed-loop trajectory never leaves the
     constraints: accumulate rows C Acl^s x <= d until every next-power row
-    is already implied, then prune redundant rows."""
+    is already implied, then prune redundant rows. Raises NoTermination,
+    carrying the rows so far, when _MAX_POWERS powers leave it open."""
     Acl = np.atleast_2d(np.asarray(Acl, dtype=float))
     if constraints.is_empty():
         raise EmptyConstraintSet("constraint polyhedron is empty")
     C_cur = constraints.C.copy()
     d_cur = constraints.d.copy()
     power = Acl.copy()
-    for _ in range(t_max):
+    for _ in range(_MAX_POWERS):
         cand_C = constraints.C @ power
         fresh_C, fresh_d = [], []
         for row, rhs in zip(cand_C, constraints.d):
             res = lp_solve(-row, C_cur, d_cur)
-            if res.status == OPTIMAL and -res.objective <= rhs + tol * (1.0 + abs(rhs)):
+            if res.status == OPTIMAL and (
+                    -res.objective <= rhs + IMPLIED * (1.0 + abs(rhs))):
                 continue
             if res.status not in (OPTIMAL, UNBOUNDED):
                 raise EmptyConstraintSet("iterate became empty")
             fresh_C.append(row)
             fresh_d.append(rhs)
         if not fresh_C:
-            return Polyhedron(C_cur, d_cur).remove_redundant(tol)
+            return Polyhedron(C_cur, d_cur).remove_redundant()
         C_cur = np.vstack([C_cur, fresh_C])
         d_cur = np.concatenate([d_cur, fresh_d])
         power = power @ Acl
     raise NoTermination(
-        f"not closed after {t_max} powers", partial=Polyhedron(C_cur, d_cur)
+        f"not closed after {_MAX_POWERS} powers", partial=Polyhedron(C_cur, d_cur)
     )
 
 

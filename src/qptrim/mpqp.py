@@ -276,13 +276,6 @@ class MpQp:
             name=data.get("name"),
         )
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MpQp":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
 class SolvedSample:

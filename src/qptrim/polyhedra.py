@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
+from .tolerances import IMPLIED
 
 
 @dataclass
@@ -63,7 +64,7 @@ class Polyhedron:
             box[k] = lo, hi
         return box
 
-    def remove_redundant(self, tol: float = 1e-9) -> "Polyhedron":
+    def remove_redundant(self) -> "Polyhedron":
         """Drop every row implied by the others (one LP per row, sequential
         so duplicate rows lose exactly one copy at a time)."""
         keep = list(range(self.n_rows))
@@ -75,7 +76,7 @@ class Polyhedron:
                 i += 1
                 continue
             res = lp_solve(-self.C[row], self.C[others], self.d[others])
-            if res.status == OPTIMAL and -res.objective <= self.d[row] + tol * (
+            if res.status == OPTIMAL and -res.objective <= self.d[row] + IMPLIED * (
                 1.0 + abs(self.d[row])
             ):
                 keep.pop(i)

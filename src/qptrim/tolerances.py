@@ -10,6 +10,7 @@ import numpy as np
 FEAS = 1e-8   # constraint violation
 ACT = 1e-7    # active-set membership (slack magnitude)
 KKT = 1e-7    # stationarity / multiplier sign
+IMPLIED = 1e-9  # a row the other rows hold to within this is redundant
 
 
 def rank_tol(a: np.ndarray) -> float:

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import BenchConfig, draw_initial_states, run_bench
+from .bench import (
+    EQUIV_TOL,
+    BenchConfig,
+    draw_initial_states,
+    run_bench,
+    trace_deviation,
+)
 from .closedloop import build_offline_dataset, estimate_decay, horizon_bounds, simulate
 from .lifted import (
     LiftedPolyhedron,
@@ -39,6 +45,7 @@ from .polyhedra import Polyhedron
 from .qpsolver import qp_solve, solve_sample
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import lp_solve
+from .tolerances import KKT
 from .trim import LicqViolation, trim_multi, trim_single
 
 
@@ -83,12 +90,12 @@ class CriterionResult:
 # the tests draw the same instances from the installed package)
 
 
-def _random_spd(rng, n, floor=0.3):
+def _random_spd(rng, n):
     m = rng.normal(size=(n, n))
-    return m.T @ m + (floor + rng.random()) * np.eye(n)
+    return m.T @ m + (0.3 + rng.random()) * np.eye(n)
 
 
-def _random_mpqp(rng, n_z, n_x, n_c, slack_lo=0.1, slack_hi=2.0):
+def _random_mpqp(rng, n_z, n_x, n_c):
     """Random valid instance plus a strictly feasible parameter."""
     H = _random_spd(rng, n_z)
     F = rng.normal(size=(n_x, n_z))
@@ -98,12 +105,12 @@ def _random_mpqp(rng, n_z, n_x, n_c, slack_lo=0.1, slack_hi=2.0):
     S = rng.normal(size=(n_c, n_x)) * 0.5
     z0 = rng.normal(size=n_z)
     x0 = rng.normal(size=n_x)
-    w = G @ z0 - S @ x0 + rng.uniform(slack_lo, slack_hi, size=n_c)
+    w = G @ z0 - S @ x0 + rng.uniform(0.1, 2.0, size=n_c)
     return MpQp(H, F, G, S, w), x0
 
 
-def _feasible_shift(p, rng, x_center, spread=0.5, attempts=50):
-    for _ in range(attempts):
+def _feasible_shift(p, rng, x_center, spread=0.5):
+    for _ in range(50):
         x = x_center + spread * rng.normal(size=p.n_x)
         if qp_solve(p, x).is_optimal:
             return x
@@ -142,13 +149,6 @@ def _grid_sigma(lifted, n_per_axis, chunk=200_000):
 def _unit_direction(rng, n):
     d = rng.normal(size=n)
     return d / np.linalg.norm(d)
-
-
-def _trace_deviation(trace, baseline):
-    """Largest per-step state/input gap between two runs."""
-    dx = np.abs(trace.states() - baseline.states()).max()
-    du = np.abs(trace.inputs() - baseline.inputs()).max()
-    return float(max(dx, du))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,9 @@ def golden_example(seed=0) -> CriterionResult:
 # criterion 2: trimmed and full solves agree on random instances
 
 
-def zero_gap(seed=0, n_instances=500) -> CriterionResult:
+def zero_gap(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
+    n_instances = 500
     rng = np.random.default_rng(seed)
     failures = 0
     multi_cases = 0
@@ -258,7 +259,7 @@ def zero_gap(seed=0, n_instances=500) -> CriterionResult:
 # from random pairs and from a probe of every piece realizable in the box
 
 
-def _kkt_certificate(p, x, idx, z, tol=1e-7):
+def _kkt_certificate(p, x, idx, z):
     """Optimality of z for the row subset, from first principles: primal
     feasibility, stationarity, nonnegative multipliers on tight rows. With a
     positive definite Hessian this is sufficient, so a certified pair of
@@ -270,23 +271,24 @@ def _kkt_certificate(p, x, idx, z, tol=1e-7):
     rhs = p.rhs(x)[rows]
     slack = rhs - G @ z
     scale = 1.0 + np.abs(rhs)
-    if np.any(slack < -tol * scale):
+    if np.any(slack < -KKT * scale):
         return False
     grad = p.H @ z + p.F.T @ x
     ref = 1.0 + np.linalg.norm(grad)
-    tight = slack <= tol * scale
+    tight = slack <= KKT * scale
     if not tight.any():
-        return bool(np.linalg.norm(grad) <= tol * ref)
+        return bool(np.linalg.norm(grad) <= KKT * ref)
     lam, *_ = np.linalg.lstsq(G[tight].T, -grad, rcond=None)
     resid = np.linalg.norm(G[tight].T @ lam + grad)
-    return bool(resid <= tol * ref and np.all(lam >= -tol * (1.0 + np.abs(lam).max())))
+    return bool(resid <= KKT * ref and np.all(lam >= -KKT * (1.0 + np.abs(lam).max())))
 
 
-def _confirmed_excess(p, box, seed, bound, trials=2000):
-    """Hunt for a parameter pair whose observed slope beats the bound, with
-    both endpoint solves certified independently of the solver."""
+def _confirmed_excess(p, box, seed, bound):
+    """Hunt, over 2000 random pairs, for a parameter pair whose observed
+    slope beats the bound, with both endpoint solves certified
+    independently of the solver."""
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(2000):
         x1 = rng.uniform(box[:, 0], box[:, 1])
         x2 = rng.uniform(box[:, 0], box[:, 1])
         gap = float(np.linalg.norm(x1 - x2))
@@ -358,8 +360,9 @@ def _piece_probe(p, box):
     return best, measured
 
 
-def lipschitz_soundness(seed=0, n_instances=50) -> CriterionResult:
+def lipschitz_soundness(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
+    n_instances = 50
     rng = np.random.default_rng(seed)
     worst = {"formula": np.inf, "scaled": np.inf}
     beaten = {"formula": 0, "scaled": 0}
@@ -491,8 +494,9 @@ def threshold_exactness(seed=0) -> CriterionResult:
 # criterion 5: kept-set size obeys the n_z + i cap at threshold distance
 
 
-def kept_cardinality(seed=0, n_instances=100) -> CriterionResult:
+def kept_cardinality(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
+    n_instances = 100
     rng = np.random.default_rng(seed)
     instances = 0
     violations = 0
@@ -558,10 +562,10 @@ def kept_cardinality(seed=0, n_instances=100) -> CriterionResult:
 # criterion 6: double-integrator closed loop
 
 
-def _offline_with_cap(sc, kappa, table, seed):
+def _offline_with_cap(sc, kappa, table):
     """Coarsest grid whose coverage radius yields a nontrivial kept cap."""
     for spacing in (0.2, 0.1, 0.075, 0.05, 0.04, 0.03):
-        ds = build_offline_dataset(sc, spacing=spacing, seed=seed)
+        ds = build_offline_dataset(sc, spacing=spacing)
         cap = theorem3_bound(kappa, table, ds.coverage, sc.condensed.n_z)
         if cap is not None and cap < sc.condensed.n_c:
             return ds, cap
@@ -579,8 +583,9 @@ def _draw_in_terminal_set(sc, n_draws, seed):
     return out
 
 
-def double_integrator_loop(seed=0, steps=100, n_draws=20) -> CriterionResult:
+def double_integrator_loop(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
+    steps, n_draws = 100, 20
     problems = []
     worst_dev = 0.0
     for N in (5, 10):
@@ -593,7 +598,7 @@ def double_integrator_loop(seed=0, steps=100, n_draws=20) -> CriterionResult:
         box = np.vstack([sc.XN.bounding_box(), np.tile(ubb, (N, 1))])
         L = lift(p, box=box)
         table = sigma_table(L, mode="sampled", n_samples=40_000, seed=seed)
-        ds, cap = _offline_with_cap(sc, kappa, table, seed)
+        ds, cap = _offline_with_cap(sc, kappa, table)
         if cap is None:
             problems.append(f"N={N}: no grid spacing gave a nontrivial cap")
             continue
@@ -609,8 +614,8 @@ def double_integrator_loop(seed=0, steps=100, n_draws=20) -> CriterionResult:
         # (a) every trimmed mode reproduces the full trajectories
         for runs in trimmed.values():
             for tr, base in zip(runs, fulls):
-                worst_dev = max(worst_dev, _trace_deviation(tr, base))
-        if worst_dev > 1e-8:
+                worst_dev = max(worst_dev, trace_deviation(tr, base))
+        if worst_dev > EQUIV_TOL:
             problems.append(f"N={N}: trajectory deviation {worst_dev:.2e}")
 
         # (b) the kept count empties and the fitted decay predicts when
@@ -683,10 +688,10 @@ def mass_chain_benchmark(seed=0) -> CriterionResult:
     for d, x0 in enumerate(draws):
         base = simulate(sc, x0, steps, mode="full")
         tr = simulate(sc, x0, steps, mode="adaptive-online", kappa=kappa)
-        worst_dev = max(worst_dev, _trace_deviation(tr, base))
+        worst_dev = max(worst_dev, trace_deviation(tr, base))
         pct[d] = 100.0 * tr.kept_counts() / p.n_c
 
-    if worst_dev > 1e-8:
+    if worst_dev > EQUIV_TOL:
         problems.append(f"trajectory deviation {worst_dev:.2e}")
 
     mean_pct = pct.mean(axis=0)
@@ -737,8 +742,9 @@ def _rollout_cost(sc, x, z):
     return total
 
 
-def condensation_oracle(seed=0, n_points=100) -> CriterionResult:
+def condensation_oracle(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
+    n_points = 100
     rng = np.random.default_rng(seed)
     scenarios = [
         gen_double_integrator(h=0.5, N=5),
@@ -840,7 +846,7 @@ CHECKS = (
 )
 
 
-def run_all(labels=None, seed=0, quiet=False) -> list:
+def run_all(labels=None, seed=0) -> list:
     """Run the selected checks in order, printing one line per result."""
     wanted = None if labels is None else {str(l) for l in labels}
     results = []
@@ -848,7 +854,6 @@ def run_all(labels=None, seed=0, quiet=False) -> list:
         if wanted is not None and label not in wanted:
             continue
         res = fn(seed=seed)
-        if not quiet:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
         results.append(res)
     return results

@@ -50,20 +50,3 @@ def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
                 best = (val, z)
     return None if best is None else best[1]
 
-
-def grid_sigma(lifted, i, n_per_axis, chunk=200_000):
-    """Dense-grid order-statistic threshold: min over grid points inside the
-    polyhedron of the (i+1)-th smallest facet distance. Upper-biased by at
-    most the grid cell half-diagonal (the statistic is 1-Lipschitz in v)."""
-    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in lifted.box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    best = np.inf
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        dist = (lifted.w[None, :] - block @ lifted.H_lift.T) / lifted.row_norms[None, :]
-        inside = np.all(dist >= 0.0, axis=1)
-        if inside.any():
-            kth = np.partition(dist[inside], i, axis=1)[:, i]
-            best = min(best, float(kth.min()))
-    return best

@@ -4,7 +4,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from qptrim.bench import BenchConfig, BenchResult, MetricsRow, run_bench
+from qptrim.bench import (
+    BenchConfig,
+    BenchResult,
+    MetricsRow,
+    draw_initial_states,
+    run_bench,
+)
+from qptrim.mpc import scenario_from_dict
 from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 
 
@@ -117,6 +124,17 @@ class TestRunBench:
         res = run_bench(BenchConfig(scenario=str(path), modes=("full",),
                                     n_draws=2, steps=5, seed=1))
         assert res.ok and len(res.rows) == 5
+
+
+class TestDrawInitialStates:
+    def test_starved_sampling_raises(self, monkeypatch):
+        import qptrim.bench as bench_mod
+
+        # each try yields at most one draw, so 3 tries cannot give 4
+        monkeypatch.setattr(bench_mod, "_MAX_TRIES", 3)
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=3))
+        with pytest.raises(RuntimeError, match="rejection sampling starved"):
+            draw_initial_states(sc, 4, 0)
 
 
 class TestConfigValidation:

