@@ -69,13 +69,20 @@ def _load_scenario(spec: str) -> dict:
     raise SystemExit(f"no file or builtin scenario named {spec!r}")
 
 
-def _parse_vector(text) -> np.ndarray:
-    """Accepts '1.5,-2' or a JSON array."""
+def _parse_vector(text, n: int, flag: str) -> np.ndarray:
+    """Accepts '1.5,-2' or a JSON array of n numbers; anything else exits
+    naming the flag."""
     try:
-        vals = json.loads(text)
-    except json.JSONDecodeError:
-        vals = [float(t) for t in text.split(",") if t.strip()]
-    return np.atleast_1d(np.asarray(vals, dtype=float))
+        try:
+            vals = json.loads(text)
+        except json.JSONDecodeError:
+            vals = [float(t) for t in text.split(",") if t.strip()]
+        vec = np.atleast_1d(np.asarray(vals, dtype=float))
+    except (TypeError, ValueError):
+        raise SystemExit(f"{flag} {text!r} is not a vector of numbers") from None
+    if vec.shape != (n,):
+        raise SystemExit(f"{flag} has {vec.size} entries, expected {n}")
+    return vec
 
 
 def _emit(args, text: str) -> None:
@@ -100,7 +107,7 @@ def _kappa_arg(text: str) -> str:
 
 def cmd_solve(args) -> int:
     p = _load_problem(args.problem)
-    sample = solve_sample(p, _parse_vector(args.x))
+    sample = solve_sample(p, _parse_vector(args.x, p.n_x, "-x"))
     _emit(args, json.dumps(sample.to_dict(), indent=2))
     return 0
 
@@ -114,7 +121,7 @@ def cmd_glc(args) -> int:
 
 def cmd_trim(args) -> int:
     p = _load_problem(args.problem)
-    x = _parse_vector(args.x)
+    x = _parse_vector(args.x, p.n_x, "-x")
     kappa = resolve_kappa(args.kappa, p)
     samples = _load_samples(args.samples)
     try:
@@ -163,6 +170,7 @@ def cmd_invariant_set(args) -> int:
 
 def cmd_mpc_sim(args) -> int:
     sc = scenario_from_dict(_load_scenario(args.scenario))
+    x0 = _parse_vector(args.x0, sc.n, "--x0")
     kappa = None
     if args.mode != "full":
         kappa = resolve_kappa(args.kappa, sc.condensed)
@@ -172,7 +180,7 @@ def cmd_mpc_sim(args) -> int:
         if spacing is None:
             spacing = default_offline_spacing(sc)
         offline = build_offline_dataset(sc, spacing=spacing)
-    trace = simulate(sc, _parse_vector(args.x0), args.steps, mode=args.mode,
+    trace = simulate(sc, x0, args.steps, mode=args.mode,
                      kappa=kappa, offline=offline)
     _emit(args, trace.to_jsonl())
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
 from .mpqp import IndexSet, MpQp, SolvedSample
-from .qpsolver import qp_solve
+from .qpsolver import _solve, qp_solve
 from .tolerances import FEAS
 from .trim import _kept_mask, check_kappa, check_sample, nearest_index
 
@@ -62,7 +62,7 @@ class StepRecord:
     wall_time: float
     mode: str
     t_trim: float        # choosing the kept rows; 0 on a full step
-    t_solve: float       # the qp_solve call
+    t_solve: float       # the QP solve
 
     def to_dict(self) -> dict:
         return {
@@ -131,18 +131,22 @@ def simulate(
     certified constant where its enumeration is affordable. A NaN,
     infinite or negative kappa raises ValueError before step 0.
 
-    Each step computes S x + w once, and G z once after its solve. Their
+    Each step computes b = S x + w once, before its trim, and hands the
+    same b to the solve; it computes G z once after the solve. Their
     difference is the full rows' slack vector, from which the step reads
-    its active set. A trimmed step hands S x' + w and one (x_hat, G z*,
-    active mask) triple per sample to the removal fold trim._kept_mask,
-    which tests every row against S x' + w - G z*, bitwise the values
-    p.slacks(x', z*) gives. The loop's own triple is kept from its last
-    step and not re-validated with check_sample: its active set is read
-    from its own slacks, so only its feasibility is checked, and a
-    violated row raises InfeasibleAtStep. The offline sample is still
-    validated by check_sample on every step, with one slack computation,
-    since the dataset may be user-built. StepRecord.wall_time runs from
-    the state to the input, trim included; t_trim and t_solve split it.
+    its active set. A trimmed step hands b and one (x_hat, G z*, active
+    mask) triple per sample to the removal fold trim._kept_mask, which
+    tests every row against b - G z*, bitwise the values p.slacks(x', z*)
+    gives. The loop's own triple is kept from its last step and not
+    re-validated with check_sample: its active set is read from its own
+    slacks, so only its feasibility is checked, and a violated row raises
+    InfeasibleAtStep. The offline sample is validated by check_sample, with
+    one slack computation, since the dataset may be user-built; its triple
+    is reused while the nearest sample stays the same object, so each
+    sample is checked once per run of steps it stays nearest. An empty
+    kept set returns the unconstrained minimizer without gathering a row.
+    StepRecord.wall_time runs from the state to the input, trim included;
+    t_trim and t_solve split it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -169,6 +173,7 @@ def simulate(
 
     feas_floor = -p.feas_band
     own = slack_prev = None   # last step's (x, G z, active mask), its slack
+    nearest = near = None     # last offline sample and its triple
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
             scenario.stripped_param_rows.contains(x, FEAS)
@@ -176,9 +181,9 @@ def simulate(
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
         step_mode = "full" if k == 0 else mode
-        b = idx = None
+        b = p.rhs(x)
+        rows = None
         if step_mode != "full":
-            b = p.rhs(x)
             samples = []
             if mode != "offline-nearest":
                 # the loop's own sample: its active set holds by
@@ -190,8 +195,11 @@ def simulate(
                 samples.append(own)
             if mode != "adaptive-online":
                 sample = offline.nearest(x)
-                samples.append((sample.x_hat, check_sample(p, sample),
-                                sample.active.to_mask(p.n_c)))
+                if sample is not nearest:
+                    nearest = sample
+                    near = (sample.x_hat, check_sample(p, sample),
+                            sample.active.to_mask(p.n_c))
+                samples.append(near)
             if mode == "hybrid" and not (
                     p.licq_holds(IndexSet.from_mask(own[2]))
                     and p.licq_holds(sample.active)):
@@ -199,9 +207,9 @@ def simulate(
                 # alone, as trim_multi does without the LICQ assertion
                 pair = np.array([own[0], sample.x_hat])
                 samples = [samples[nearest_index(pair, x)]]
-            idx = IndexSet.from_mask(_kept_mask(p, kappa, x, b, samples))
+            rows = _kept_mask(p, kappa, x, b, samples).nonzero()[0]
         t1 = time.perf_counter()
-        sol = qp_solve(p, x, idx=idx)
+        sol = _solve(p, x, b, rows)
         t2 = time.perf_counter()
         if not sol.is_optimal:
             fail(k, f"QP solve returned {sol.status}")
@@ -210,15 +218,13 @@ def simulate(
         wall = time.perf_counter() - t0
         # the full rows' slacks and active set, for the next step's trim;
         # trimming keeps the minimizer, so re-reading activity is exact
-        if b is None:
-            b = p.rhs(x)
         gz = p.G @ z
         slack_prev = b - gz
         own = (x, gz, np.abs(slack_prev) <= p.act_band)
         records.append(StepRecord(
-            k, x.copy(), u, p.n_c if idx is None else len(idx),
+            k, x.copy(), u, p.n_c if rows is None else len(rows),
             sol.iterations, wall, step_mode,
-            0.0 if idx is None else t1 - t0, t2 - t1))
+            0.0 if rows is None else t1 - t0, t2 - t1))
         x = scenario.A @ x + scenario.B @ u
     return ClosedLoopTrace(records, status="ok", meta=meta)
 

@@ -10,6 +10,14 @@ rows with no multiplier left to shift onto. Every iterate satisfies
 stationarity, z = -H^-1 (F' x + G' lam), so z is recomputed from the
 multipliers rather than accumulated. The solver reports no active set;
 solve_sample reads one from the slacks with MpQp.active_set.
+
+A step costs a few small BLAS and LAPACK calls and, at MPC sizes, is
+dominated by the fixed cost of each numpy call. So the loop holds its
+working rows as a Python list and their multipliers as Python floats,
+runs the ratio test and the multiplier update in Python (which rounds
+exactly as numpy's elementwise operations do), and gathers the working
+rows of G and H^-1 G' once per step. tests/oracles.py keeps the loop
+written over numpy arrays, and the tests hold the two equal bit for bit.
 """
 
 from dataclasses import dataclass
@@ -40,15 +48,6 @@ class QpSolution:
         return self.status == OPTIMAL
 
 
-def _step(G, Y, work, j):
-    """Primal direction d = Y_j - Y_W r of adding row j to the working rows,
-    and the multiplier shift r = (G_W Y_W)^-1 G_W Y_j."""
-    if not work:
-        return Y[:, j], np.zeros(0)
-    r = np.linalg.solve(G[work] @ Y[:, work], G[work] @ Y[:, j])
-    return Y[:, j] - Y[:, work] @ r, r
-
-
 def qp_solve(
     p: MpQp,
     x,
@@ -61,25 +60,33 @@ def qp_solve(
     counts that start and every row the loop adds or drops. A kept row
     counts as satisfied when its violation is at most FEAS * (1 + max|b|)
     over the kept right-hand sides b. A NaN or infinite parameter raises
-    ValueError.
+    ValueError. An empty idx returns the unconstrained minimizer with
+    iterations = 1, without gathering a row.
     """
     x = finite_parameter(x)
-    b = p.rhs(x)
-    if idx is None:
-        rows = None
+    rows = None if idx is None else idx.zero_based()
+    return _solve(p, x, p.rhs(x), rows, max_iter)
+
+
+def _solve(p: MpQp, x, b, rows, max_iter=None) -> QpSolution:
+    """qp_solve at a finite x whose right-hand side S x + w is b, over the
+    0-based rows `rows` (None: all rows). closedloop.simulate calls it with
+    the b it has already computed for its trim."""
+    z0 = -p.hi_ft @ x
+    n = p.n_c if rows is None else len(rows)
+    if not n:                # nothing to satisfy; gather nothing
+        return QpSolution(z0, np.zeros(0), OPTIMAL, 1)
+    if rows is None:
         G, Y, quads = p.G, p.hi_gt, p.g_quads
     else:
-        rows = idx.zero_based()
         G, Y, b, quads = p.G[rows], None, b[rows], p.g_quads[rows]
-    n = len(b)
     feas_slack = FEAS * (1.0 + np.abs(b).max(initial=0.0))
     if max_iter is None:
         max_iter = 50 * (p.n_z + n) + 100
 
-    z0 = -p.hi_ft @ x
     z = z0
-    lam = np.zeros(n)
     work: list = []          # working rows, as positions in the solved rows
+    lam_w: list = []         # their multipliers
     iterations = 1
     j = None                 # the violated row being added
     for _ in range(max_iter):
@@ -87,35 +94,57 @@ def qp_solve(
             viol = G @ z - b
             if work:
                 viol[work] = -np.inf
-            if viol.max(initial=-np.inf) <= feas_slack:
-                return QpSolution(z, np.maximum(lam, 0.0), OPTIMAL, iterations)
-            j = int(np.argmax(viol))
+            j = int(viol.argmax())
+            if viol[j] <= feas_slack:
+                lam = np.zeros(n)
+                if work:
+                    lam[work] = lam_w
+                    np.maximum(lam, 0.0, out=lam)
+                return QpSolution(z, lam, OPTIMAL, iterations)
+            lam_j = 0.0
         iterations += 1
         if Y is None:        # a trimmed solve copies its columns only now
             Y = p.hi_gt[:, rows]
-        d, r = _step(G, Y, work, j)
-        curvature = G[j] @ d
-        shift = np.flatnonzero(r > ROUNDING * np.abs(r).max(initial=0.0))
-        ratios = lam[work][shift] / r[shift]
-        t_drop = ratios.min(initial=np.inf)
+        # primal direction d = Y_j - Y_W r of adding row j to the working
+        # rows W, and the multiplier shift r = (G_W Y_W)^-1 G_W Y_j
+        Gj, Yj = G[j], Y[:, j]
+        if work:
+            Gw, Yw = G[work], Y[:, work]
+            r = np.linalg.solve(Gw @ Yw, Gw @ Yj)
+            d = Yj - Yw @ r
+            r = r.tolist()
+        else:
+            d, r = Yj, []
+        curvature = Gj @ d
+        # first working row whose multiplier a full step would drive below 0
+        bound = ROUNDING * max(map(abs, r), default=0.0)
+        t_drop, drop, shifts = np.inf, None, False
+        for i, ri in enumerate(r):
+            if ri > bound:
+                shifts = True
+                ratio = lam_w[i] / ri
+                if ratio < t_drop:
+                    t_drop, drop = ratio, i
         if curvature > ROUNDING * quads[j]:
-            t_full = max(G[j] @ z - b[j], 0.0) / curvature
-        elif shift.size:
+            t_full = max(Gj @ z - b[j], 0.0) / curvature
+        elif shifts:
             t_full = np.inf
         else:
             return QpSolution(None, None, INFEASIBLE, iterations)
-        t = min(t_drop, t_full)
-        lam[work] -= t * r
-        lam[j] += t
+        t = float(min(t_drop, t_full))
+        lam_w = [m - t * ri for m, ri in zip(lam_w, r)]
+        lam_j += t
         if t_full <= t_drop:
             work.append(j)
+            lam_w.append(lam_j)
             j = None
+            held, lam_held = work, lam_w
         else:
-            lam[work.pop(int(shift[np.argmin(ratios)]))] = 0.0
+            del work[drop], lam_w[drop]
+            held, lam_held = work + [j], lam_w + [lam_j]
         # summing over the rows that hold multipliers, not over all kept
         # rows, gives a trimmed solve the same rounding as the full one
-        held = work if j is None else work + [j]
-        z = z0 - Y[:, held] @ lam[held]
+        z = z0 - Y[:, held] @ np.array(lam_held)
     raise ArithmeticError("active-set iteration limit exceeded")
 
 

@@ -13,8 +13,8 @@ Every caller reaches the test through one fold, _kept_mask: trim_single,
 trim_multi and closedloop.simulate hand it the right-hand side S x + w at
 x and one (x_hat, G z*, active mask) triple per sample. A given sample is
 validated by check_sample, which computes its slack once and returns its
-G z*; the closed loop still checks its offline sample this way on every
-step, and only skips it for the sample it solved itself.
+G z*; the closed loop checks its offline sample this way each time the
+nearest sample changes, and skips it for the sample it solved itself.
 """
 
 import json

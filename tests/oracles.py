@@ -2,11 +2,16 @@
 
 These deliberately share no code with the package solvers: the QP oracle
 enumerates candidate active subsets and solves bordered KKT systems directly.
+The reference dual loop shares only the solver's constants.
 """
 
 import itertools
 
 import numpy as np
+
+from qptrim.mpqp import finite_parameter
+from qptrim.qpsolver import INFEASIBLE, OPTIMAL, ROUNDING
+from qptrim.tolerances import FEAS
 
 
 def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
@@ -50,3 +55,76 @@ def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
                 best = (val, z)
     return None if best is None else best[1]
 
+
+
+# The dual active-set loop as qptrim.qpsolver.qp_solve wrote it with numpy
+# arrays throughout, kept as the reference its list-and-float rewrite must
+# match bit for bit. `drops` counts the rows the loop dropped.
+
+def _step(G, Y, work, j):
+    """Primal direction d = Y_j - Y_W r of adding row j to the working rows,
+    and the multiplier shift r = (G_W Y_W)^-1 G_W Y_j."""
+    if not work:
+        return Y[:, j], np.zeros(0)
+    r = np.linalg.solve(G[work] @ Y[:, work], G[work] @ Y[:, j])
+    return Y[:, j] - Y[:, work] @ r, r
+
+
+def reference_qp_solve(p, x, idx=None, max_iter=None):
+    """(z_star, lam, status, iterations, drops) of the array-based loop."""
+    x = finite_parameter(x)
+    b = p.rhs(x)
+    if idx is None:
+        rows = None
+        G, Y, quads = p.G, p.hi_gt, p.g_quads
+    else:
+        rows = idx.zero_based()
+        G, Y, b, quads = p.G[rows], None, b[rows], p.g_quads[rows]
+    n = len(b)
+    feas_slack = FEAS * (1.0 + np.abs(b).max(initial=0.0))
+    if max_iter is None:
+        max_iter = 50 * (p.n_z + n) + 100
+
+    z0 = -p.hi_ft @ x
+    z = z0
+    lam = np.zeros(n)
+    work: list = []          # working rows, as positions in the solved rows
+    iterations = 1
+    drops = 0
+    j = None                 # the violated row being added
+    for _ in range(max_iter):
+        if j is None:
+            viol = G @ z - b
+            if work:
+                viol[work] = -np.inf
+            if viol.max(initial=-np.inf) <= feas_slack:
+                return z, np.maximum(lam, 0.0), OPTIMAL, iterations, drops
+            j = int(np.argmax(viol))
+        iterations += 1
+        if Y is None:        # a trimmed solve copies its columns only now
+            Y = p.hi_gt[:, rows]
+        d, r = _step(G, Y, work, j)
+        curvature = G[j] @ d
+        shift = np.flatnonzero(r > ROUNDING * np.abs(r).max(initial=0.0))
+        ratios = lam[work][shift] / r[shift]
+        t_drop = ratios.min(initial=np.inf)
+        if curvature > ROUNDING * quads[j]:
+            t_full = max(G[j] @ z - b[j], 0.0) / curvature
+        elif shift.size:
+            t_full = np.inf
+        else:
+            return None, None, INFEASIBLE, iterations, drops
+        t = min(t_drop, t_full)
+        lam[work] -= t * r
+        lam[j] += t
+        if t_full <= t_drop:
+            work.append(j)
+            j = None
+        else:
+            lam[work.pop(int(shift[np.argmin(ratios)]))] = 0.0
+            drops += 1
+        # summing over the rows that hold multipliers, not over all kept
+        # rows, gives a trimmed solve the same rounding as the full one
+        held = work if j is None else work + [j]
+        z = z0 - Y[:, held] @ lam[held]
+    raise ArithmeticError("active-set iteration limit exceeded")

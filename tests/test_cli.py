@@ -167,6 +167,22 @@ def test_mpc_sim_emits_one_line_per_step(capsys):
     assert recs[0]["mode"] == "full"  # first step never trims
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{prob}", "-x", "1,2"], "-x has 2 entries, expected 1"),
+    (["trim", "{prob}", "--samples", "{samples}", "-x", "[1, 2]",
+      "--kappa", "1"], "-x has 2 entries, expected 1"),
+    (["mpc-sim", "double-integrator", "--x0", "1,2,3", "--steps", "2"],
+     "--x0 has 3 entries, expected 2"),
+    (["solve", "{prob}", "-x", "one"], "-x 'one' is not a vector of numbers"),
+])
+def test_vector_of_wrong_length_rejected(prob_file, samples_file, argv,
+                                         message):
+    argv = [a.format(prob=prob_file, samples=samples_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value) == message
+
+
 def _metrics_without_time(text):
     rows = [r.split(",") for r in text.strip().splitlines()]
     return [r[:4] + r[5:] for r in rows]

@@ -382,6 +382,30 @@ class TestOfflineDataset:
         with pytest.raises(ValueError):
             build_offline_dataset(sc, spacing=-1.0)
 
+    def test_sample_checked_once_while_nearest(self, monkeypatch):
+        sc = di_scenario()
+        ds = offline_datasets()["grid"]
+        checked = []
+        real = closedloop.check_sample
+        monkeypatch.setattr(closedloop, "check_sample",
+                            lambda p, s: checked.append(id(s)) or real(p, s))
+        x0 = boundary_point(sc.XN, [-1.0, 0.3])
+        trace = simulate(sc, x0, 20, mode="offline-nearest", offline=ds)
+        nearest = [id(ds.nearest(x)) for x in trace.states()[1:]]
+        changes = [s for k, s in enumerate(nearest)
+                   if k == 0 or s != nearest[k - 1]]
+        assert checked == changes
+        assert len(changes) < len(nearest)
+
+    def test_inconsistent_sample_still_rejected(self):
+        sc = di_scenario()
+        good = offline_datasets()["grid"].samples[0]
+        wrong = SolvedSample(good.x_hat, good.z_star, [sc.condensed.n_c])
+        assert wrong.active != good.active
+        ds = closedloop.OfflineDataset([wrong], {"kind": "centers"}, 1.0, True)
+        with pytest.raises(ValueError, match="inconsistent"):
+            simulate(sc, good.x_hat, 3, mode="offline-nearest", offline=ds)
+
 
 def synthetic_single_row(w=10.0):
     # 1-D problem with unit row data so the bound formulas are easy to
