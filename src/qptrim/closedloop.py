@@ -58,7 +58,7 @@ class StepRecord:
     x: np.ndarray
     u: np.ndarray
     kept_count: int
-    iterations: int
+    iterations: int      # 1, plus the active rows when the solve ran nnls
     wall_time: float
     mode: str
     t_trim: float        # choosing the kept rows; 0 on a full step
@@ -132,7 +132,7 @@ def simulate(
     infinite or negative kappa raises ValueError before step 0.
 
     Each step computes b = S x + w once, before its trim, and hands the
-    same b to the solve; it computes G z once after the solve. Their
+    same b to the solve, which hands back G z over all rows. Their
     difference is the full rows' slack vector, from which the step reads
     its active set. A trimmed step hands b and one (x_hat, G z*, active
     mask) triple per sample to the removal fold trim._kept_mask, which
@@ -144,7 +144,7 @@ def simulate(
     one slack computation, since the dataset may be user-built; its triple
     is reused while the nearest sample stays the same object, so each
     sample is checked once per run of steps it stays nearest. An empty
-    kept set returns the unconstrained minimizer without gathering a row.
+    kept set returns the unconstrained minimizer.
     StepRecord.wall_time runs from the state to the input, trim included;
     t_trim and t_solve split it.
     """
@@ -209,16 +209,14 @@ def simulate(
                 samples = [samples[nearest_index(pair, x)]]
             rows = _kept_mask(p, kappa, x, b, samples).nonzero()[0]
         t1 = time.perf_counter()
-        sol = _solve(p, x, b, rows)
+        sol, gz = _solve(p, x, b, rows)
         t2 = time.perf_counter()
         if not sol.is_optimal:
             fail(k, f"QP solve returned {sol.status}")
-        z = sol.z_star
-        u = z[:m].copy()
+        u = sol.z_star[:m].copy()
         wall = time.perf_counter() - t0
         # the full rows' slacks and active set, for the next step's trim;
         # trimming keeps the minimizer, so re-reading activity is exact
-        gz = p.G @ z
         slack_prev = b - gz
         own = (x, gz, np.abs(slack_prev) <= p.act_band)
         records.append(StepRecord(

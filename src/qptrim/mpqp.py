@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .linalg import NotPositiveDefinite, cholesky
 from .tolerances import ACT, FEAS, rank_tol
@@ -179,6 +179,13 @@ class MpQp:
     def hi_gt(self) -> np.ndarray:
         """H^-1 G' (n_z x n_c)."""
         return self.h_solve(self.G.T)
+
+    @cached_property
+    def g_lt(self) -> np.ndarray:
+        """E = G L^-T with H = L L' (n_c x n_z): the rows in the
+        coordinates y = L' z, in which the QP is a least-distance program
+        and E E' = G H^-1 G'."""
+        return solve_triangular(self._h_cho[0], self.G.T, lower=True).T
 
     @cached_property
     def hi_ft(self) -> np.ndarray:

@@ -1,28 +1,30 @@
-"""Dual active-set solver for strictly convex QPs over constraint subsets.
+"""Least-distance QP solver for strictly convex QPs over constraint subsets.
 
 Solves  min_z 0.5 z' H z + x' F z  s.t.  G_I z <= S_I x + w_I  for an index
-subset I with the method of Goldfarb and Idnani (1983, Math. Programming
-27). It starts at the unconstrained minimizer, which is dual feasible, and
-adds the most violated kept row until none is violated, dropping a working
-row whenever its multiplier reaches zero on the way. No LP is needed: an
-empty feasible set shows as a violated row that depends on the working
-rows with no multiplier left to shift onto. Every iterate satisfies
-stationarity, z = -H^-1 (F' x + G' lam), so z is recomputed from the
-multipliers rather than accumulated. The solver reports no active set;
-solve_sample reads one from the slacks with MpQp.active_set.
+subset I. With H = L L' and the unconstrained minimizer z0 = -H^-1 F' x,
+the substitution y = L'(z - z0) turns the QP into the least-distance
+program  min ||y||  s.t.  E_I y <= h_I,  with E = G L^-T (MpQp.g_lt) and
+h = b - G z0. Lawson and Hanson (Solving Least Squares Problems, 1974,
+ch. 23) solve it by one nonnegative least-squares problem,
 
-A step costs a few small BLAS and LAPACK calls and, at MPC sizes, is
-dominated by the fixed cost of each numpy call. So the loop holds its
-working rows as a Python list and their multipliers as Python floats,
-runs the ratio test and the multiplier update in Python (which rounds
-exactly as numpy's elementwise operations do), and gathers the working
-rows of G and H^-1 G' once per step. tests/oracles.py keeps the loop
-written over numpy arrays, and the tests hold the two equal bit for bit.
+    min_{u >= 0} || [E_I'; h_I'] u + e ||,   e = (0, ..., 0, 1),
+
+which scipy.optimize.nnls runs compiled; Bemporad (2016, IEEE TAC 61(4))
+applies the reduction to embedded MPC. Its residual norm is
+1 / sqrt(1 + ||y||^2) when the rows are feasible and vanishes when they
+are not. The rows with a positive u are the active rows W, and the solver
+reads the minimizer from them rather than from nnls's y: it solves
+(G_W H^-1 G_W') lam_W = G_W z0 - b_W and sets z = z0 - H^-1 G_W' lam_W,
+so the active rows hold to rounding and a tie at a vertex stays exact.
+When z0 already satisfies every solved row, no nnls problem is formed.
+The solver reports no active set; solve_sample reads one from the slacks
+with MpQp.active_set.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
 from .tolerances import FEAS
@@ -30,8 +32,9 @@ from .tolerances import FEAS
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-# relative size below which a curvature or a multiplier shift is rounding
-ROUNDING = 1e-10
+# nnls residual norm at or below which the solved rows are infeasible; a
+# feasible set's is 1 / sqrt(1 + ||y||^2), so this reads ||y|| > 1e6
+VANISHED = 1e-6
 
 
 @dataclass
@@ -56,96 +59,53 @@ def qp_solve(
 ) -> QpSolution:
     """Solve the trimmed QP at parameter x over constraint subset idx.
 
-    Every solve starts cold, at the unconstrained minimizer; `iterations`
-    counts that start and every row the loop adds or drops. A kept row
-    counts as satisfied when its violation is at most FEAS * (1 + max|b|)
-    over the kept right-hand sides b. A NaN or infinite parameter raises
-    ValueError. An empty idx returns the unconstrained minimizer with
-    iterations = 1, without gathering a row.
+    Every solve starts cold, at the unconstrained minimizer. When no kept
+    row is violated there by more than FEAS * (1 + max|b|) over the kept
+    right-hand sides b, it is the answer and `iterations` is 1; otherwise
+    one nnls call runs, and `iterations` is 1 plus the number of active
+    rows it finds. max_iter caps nnls's iterations, and reaching the cap
+    raises ArithmeticError. A NaN or infinite parameter raises ValueError.
+    An empty idx returns the unconstrained minimizer with iterations = 1.
     """
     x = finite_parameter(x)
     rows = None if idx is None else idx.zero_based()
-    return _solve(p, x, p.rhs(x), rows, max_iter)
+    return _solve(p, x, p.rhs(x), rows, max_iter)[0]
 
 
-def _solve(p: MpQp, x, b, rows, max_iter=None) -> QpSolution:
+def _solve(p: MpQp, x, b, rows, max_iter=None):
     """qp_solve at a finite x whose right-hand side S x + w is b, over the
-    0-based rows `rows` (None: all rows). closedloop.simulate calls it with
-    the b it has already computed for its trim."""
+    0-based rows `rows` (None: all rows). Returns the solution and G z over
+    all rows of p (None when infeasible): closedloop.simulate hands in the
+    b it computed for its trim and reads its slacks b - G z from it."""
     z0 = -p.hi_ft @ x
-    n = p.n_c if rows is None else len(rows)
-    if not n:                # nothing to satisfy; gather nothing
-        return QpSolution(z0, np.zeros(0), OPTIMAL, 1)
+    gz = p.G @ z0
     if rows is None:
-        G, Y, quads = p.G, p.hi_gt, p.g_quads
+        h, b_rows = b - gz, b
     else:
-        G, Y, b, quads = p.G[rows], None, b[rows], p.g_quads[rows]
-    feas_slack = FEAS * (1.0 + np.abs(b).max(initial=0.0))
+        h, b_rows = b[rows] - gz[rows], b[rows]
+    feas_slack = FEAS * (1.0 + np.abs(b_rows).max(initial=0.0))
+    n = len(h)
+    if h.min(initial=0.0) >= -feas_slack:
+        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), gz
+    E = p.g_lt if rows is None else p.g_lt[rows]
+    e = np.zeros(p.n_z + 1)
+    e[-1] = -1.0
     if max_iter is None:
         max_iter = 50 * (p.n_z + n) + 100
-
-    z = z0
-    work: list = []          # working rows, as positions in the solved rows
-    lam_w: list = []         # their multipliers
-    iterations = 1
-    j = None                 # the violated row being added
-    for _ in range(max_iter):
-        if j is None:
-            viol = G @ z - b
-            if work:
-                viol[work] = -np.inf
-            j = int(viol.argmax())
-            if viol[j] <= feas_slack:
-                lam = np.zeros(n)
-                if work:
-                    lam[work] = lam_w
-                    np.maximum(lam, 0.0, out=lam)
-                return QpSolution(z, lam, OPTIMAL, iterations)
-            lam_j = 0.0
-        iterations += 1
-        if Y is None:        # a trimmed solve copies its columns only now
-            Y = p.hi_gt[:, rows]
-        # primal direction d = Y_j - Y_W r of adding row j to the working
-        # rows W, and the multiplier shift r = (G_W Y_W)^-1 G_W Y_j
-        Gj, Yj = G[j], Y[:, j]
-        if work:
-            Gw, Yw = G[work], Y[:, work]
-            r = np.linalg.solve(Gw @ Yw, Gw @ Yj)
-            d = Yj - Yw @ r
-            r = r.tolist()
-        else:
-            d, r = Yj, []
-        curvature = Gj @ d
-        # first working row whose multiplier a full step would drive below 0
-        bound = ROUNDING * max(map(abs, r), default=0.0)
-        t_drop, drop, shifts = np.inf, None, False
-        for i, ri in enumerate(r):
-            if ri > bound:
-                shifts = True
-                ratio = lam_w[i] / ri
-                if ratio < t_drop:
-                    t_drop, drop = ratio, i
-        if curvature > ROUNDING * quads[j]:
-            t_full = max(Gj @ z - b[j], 0.0) / curvature
-        elif shifts:
-            t_full = np.inf
-        else:
-            return QpSolution(None, None, INFEASIBLE, iterations)
-        t = float(min(t_drop, t_full))
-        lam_w = [m - t * ri for m, ri in zip(lam_w, r)]
-        lam_j += t
-        if t_full <= t_drop:
-            work.append(j)
-            lam_w.append(lam_j)
-            j = None
-            held, lam_held = work, lam_w
-        else:
-            del work[drop], lam_w[drop]
-            held, lam_held = work + [j], lam_w + [lam_j]
-        # summing over the rows that hold multipliers, not over all kept
-        # rows, gives a trimmed solve the same rounding as the full one
-        z = z0 - Y[:, held] @ np.array(lam_held)
-    raise ArithmeticError("active-set iteration limit exceeded")
+    try:
+        u, resid = nnls(np.vstack([E.T, h]), e, maxiter=max_iter)
+    except RuntimeError as exc:
+        raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
+    work = u.nonzero()[0]
+    if resid <= VANISHED:
+        return QpSolution(None, None, INFEASIBLE, 1 + len(work)), None
+    held = work if rows is None else rows[work]
+    Yw = p.hi_gt[:, held]
+    lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
+    z = z0 - Yw @ lam_w
+    lam = np.zeros(n)
+    lam[work] = np.maximum(lam_w, 0.0)
+    return QpSolution(z, lam, OPTIMAL, 1 + len(work)), p.G @ z
 
 
 def solve_sample(p: MpQp, x) -> SolvedSample:

@@ -2,7 +2,7 @@
 
 These deliberately share no code with the package solvers: the QP oracle
 enumerates candidate active subsets and solves bordered KKT systems directly.
-The reference dual loop shares only the solver's constants.
+The reference dual loop shares only the solver's status names and FEAS.
 """
 
 import itertools
@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from qptrim.mpqp import finite_parameter
-from qptrim.qpsolver import INFEASIBLE, OPTIMAL, ROUNDING
+from qptrim.qpsolver import INFEASIBLE, OPTIMAL
 from qptrim.tolerances import FEAS
 
 
@@ -57,9 +57,15 @@ def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
 
 
 
-# The dual active-set loop as qptrim.qpsolver.qp_solve wrote it with numpy
-# arrays throughout, kept as the reference its list-and-float rewrite must
-# match bit for bit. `drops` counts the rows the loop dropped.
+# The dual active-set loop of Goldfarb and Idnani (1983, Math. Programming
+# 27) that qptrim.qpsolver.qp_solve ran before its least-distance solve,
+# written with numpy arrays throughout. It is kept as an independent
+# reference: the two must agree in status, minimizer and active-row count.
+# `drops` counts the rows the loop dropped.
+
+# relative size below which a curvature or a multiplier shift is rounding
+ROUNDING = 1e-10
+
 
 def _step(G, Y, work, j):
     """Primal direction d = Y_j - Y_W r of adding row j to the working rows,
