@@ -10,13 +10,17 @@ ch. 23) solve it by one nonnegative least-squares problem,
     min_{u >= 0} || [E_I'; h_I'] u + e ||,   e = (0, ..., 0, 1),
 
 which scipy.optimize.nnls runs compiled; Bemporad (2016, IEEE TAC 61(4))
-applies the reduction to embedded MPC. Its residual norm is
+applies the reduction to embedded MPC. The solver first divides h by its
+largest violation distance max_i -h_i / ||E_i||, so that ||y|| >= 1 at any
+scale of x, H, F or the rows. The residual norm is then
 1 / sqrt(1 + ||y||^2) when the rows are feasible and vanishes when they
 are not. The rows with a positive u are the active rows W, and the solver
 reads the minimizer from them rather than from nnls's y: it solves
 (G_W H^-1 G_W') lam_W = G_W z0 - b_W and sets z = z0 - H^-1 G_W' lam_W,
 so the active rows hold to rounding and a tie at a vertex stays exact.
-When z0 already satisfies every solved row, no nnls problem is formed.
+That z must meet every other solved row to FEAS * (1 + max|b|), as the
+dual loop's last check required, or the solve raises ArithmeticError. When z0 already satisfies every solved row, no
+nnls problem is formed.
 The solver reports no active set; solve_sample reads one from the slacks
 with MpQp.active_set.
 """
@@ -33,7 +37,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 # nnls residual norm at or below which the solved rows are infeasible; a
-# feasible set's is 1 / sqrt(1 + ||y||^2), so this reads ||y|| > 1e6
+# feasible set's is 1 / sqrt(1 + ||y||^2) with ||y|| >= 1 once h is scaled
+# by its largest violation distance, so this reads a minimizer more than
+# 1e6 of those distances away as infeasible
 VANISHED = 1e-6
 
 
@@ -64,7 +70,8 @@ def qp_solve(
     right-hand sides b, it is the answer and `iterations` is 1; otherwise
     one nnls call runs, and `iterations` is 1 plus the number of active
     rows it finds. max_iter caps nnls's iterations, and reaching the cap
-    raises ArithmeticError. A NaN or infinite parameter raises ValueError.
+    raises ArithmeticError, as does a minimizer from nnls's active rows
+    that violates a kept row outside them. A NaN or infinite parameter raises ValueError.
     An empty idx returns the unconstrained minimizer with iterations = 1.
     """
     x = finite_parameter(x)
@@ -87,13 +94,21 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
     n = len(h)
     if h.min(initial=0.0) >= -feas_slack:
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), gz
+    # h over the largest violation distance max_i -h_i / ||E_i|| makes
+    # ||y|| >= 1, whatever the scale of x, H, F or the rows; a violated
+    # row with E_i = 0 leaves nothing to scale by and no point meets it
+    quads = p.g_quads if rows is None else p.g_quads[rows]
+    live = quads > 0.0
+    scale = (-h[live] / np.sqrt(quads[live])).max(initial=0.0)
+    if scale <= 0.0:
+        return QpSolution(None, None, INFEASIBLE, 1), None
     E = p.g_lt if rows is None else p.g_lt[rows]
     e = np.zeros(p.n_z + 1)
     e[-1] = -1.0
     if max_iter is None:
         max_iter = 50 * (p.n_z + n) + 100
     try:
-        u, resid = nnls(np.vstack([E.T, h]), e, maxiter=max_iter)
+        u, resid = nnls(np.vstack([E.T, h / scale]), e, maxiter=max_iter)
     except RuntimeError as exc:
         raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
     work = u.nonzero()[0]
@@ -103,9 +118,14 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
     Yw = p.hi_gt[:, held]
     lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
     z = z0 - Yw @ lam_w
+    gz = p.G @ z
+    slack = b_rows - (gz if rows is None else gz[rows])
+    slack[work] = 0.0
+    if slack.min() < -feas_slack:
+        raise ArithmeticError("nnls's active rows leave a solved row violated")
     lam = np.zeros(n)
     lam[work] = np.maximum(lam_w, 0.0)
-    return QpSolution(z, lam, OPTIMAL, 1 + len(work)), p.G @ z
+    return QpSolution(z, lam, OPTIMAL, 1 + len(work)), gz
 
 
 def solve_sample(p: MpQp, x) -> SolvedSample:

@@ -40,6 +40,27 @@ def test_status_independent_of_row_scale(case):
         assert sol.status == status and sol.iterations > 1
 
 
+@pytest.mark.parametrize("case", range(3))
+def test_status_independent_of_objective_scale(case):
+    p, x, status = scale_cases()[case]
+    for k in range(-6, 7):
+        q = MpQp(H=p.H * 10.0 ** k, F=p.F * 10.0 ** k, G=p.G, S=p.S, w=p.w)
+        sol = qp_solve(q, x)
+        assert sol.status == status and sol.iterations > 1
+
+
+def test_far_minimizer_stays_feasible():
+    # z* = x for x <= -2, at distance 1.5 |x| sqrt(2) from z0 = -x / 2 in
+    # the H-metric: a fixed residual threshold on the unscaled problem
+    # called these infeasible from about x = -4.7e5 on
+    p = example_two_halfplanes()
+    for k in range(0, 13):
+        x = -2.0 * 10.0 ** k
+        sol = qp_solve(p, [x])
+        assert sol.is_optimal and sol.iterations == 2
+        assert abs(sol.z_star[0] - x) <= 1e-12 * abs(x)
+
+
 def meets_kkt_bounds(p, x, sol, rows):
     """Stationarity, feasibility, complementarity and multiplier signs of
     sol over the 0-based rows, relative to 1 + max|b| over them."""
