@@ -33,20 +33,24 @@ def scale_cases():
 
 
 @pytest.mark.parametrize("case", range(3))
-def test_status_independent_of_row_scale(case):
+def test_status_independent_of_scale(case):
+    # scaling the rows (G, S, w) or the objective (H, F) keeps the minimizer
     p, x, status = scale_cases()[case]
     for k in range(-6, 7):
-        sol = qp_solve(p.scaled(np.full(p.n_c, 10.0 ** k)), x)
-        assert sol.status == status and sol.iterations > 1
+        c = 10.0 ** k
+        for q in (p.scaled(np.full(p.n_c, c)),
+                  MpQp(H=c * p.H, F=c * p.F, G=p.G, S=p.S, w=p.w)):
+            sol = qp_solve(q, x)
+            assert sol.status == status and sol.iterations > 1
 
 
-@pytest.mark.parametrize("case", range(3))
-def test_status_independent_of_objective_scale(case):
-    p, x, status = scale_cases()[case]
-    for k in range(-6, 7):
-        q = MpQp(H=p.H * 10.0 ** k, F=p.F * 10.0 ** k, G=p.G, S=p.S, w=p.w)
-        sol = qp_solve(q, x)
-        assert sol.status == status and sol.iterations > 1
+def test_violated_zero_row_is_infeasible():
+    # row 1 reads 0 <= -1; row 2 (z <= 0) is violated only at x = -1
+    p = MpQp(H=[[1.0]], F=[[1.0]], G=[[0.0], [1.0]], S=[[0.0], [0.0]],
+             w=[-1.0, 0.0])
+    for x in (1.0, -1.0):
+        assert qp_solve(p, [x]).status == INFEASIBLE
+        assert qp_solve(p, [x], IndexSet([2])).is_optimal
 
 
 def test_far_minimizer_stays_feasible():
