@@ -17,8 +17,8 @@ import numpy as np
 
 from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
-from .mpqp import IndexSet, MpQp, SolvedSample
-from .qpsolver import _solve, qp_solve
+from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
+from .qpsolver import _sample, _solve
 from .tolerances import FEAS
 from .trim import _kept_mask, check_kappa, check_sample, nearest_index
 
@@ -297,12 +297,11 @@ def build_offline_dataset(scenario, spacing: float | None = None,
     samples = []
     anchor_kept = False
     for pt in points:
-        sol = qp_solve(p, pt)
-        if not sol.is_optimal:
+        sample = _sample(p, finite_parameter(pt))
+        if sample is None:
             warnings.warn(f"skipping infeasible point {pt}")
             continue
-        samples.append(
-            SolvedSample(pt, sol.z_star, p.active_set(pt, sol.z_star)))
+        samples.append(sample)
         if spacing is not None and np.array_equal(pt, anchor):
             anchor_kept = True
     if not samples:

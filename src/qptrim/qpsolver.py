@@ -10,19 +10,30 @@ ch. 23) solve it by one nonnegative least-squares problem,
     min_{u >= 0} || [E_I'; h_I'] u + e ||,   e = (0, ..., 0, 1),
 
 which scipy.optimize.nnls runs compiled; Bemporad (2016, IEEE TAC 61(4))
-applies the reduction to embedded MPC. The solver first divides h by its
-largest violation distance max_i -h_i / ||E_i||, so that ||y|| >= 1 at any
-scale of x, H, F or the rows. The residual norm is then
+applies the reduction to embedded MPC. When z0 already satisfies every
+solved row, no nnls problem is formed. Otherwise the solver divides h by
+its largest violation distance s = max_i -h_i / ||E_i||, so that
+||y|| >= 1 at any scale of x, H, F or the rows. The residual norm is then
 1 / sqrt(1 + ||y||^2) when the rows are feasible and vanishes when they
-are not. The rows with a positive u are the active rows W, and the solver
-reads the minimizer from them rather than from nnls's y: it solves
+are not.
+
+nnls's cost grows with its columns, and few rows end active, so nnls
+first sees only the seed: the rows whose boundary meets the H-metric ball
+of radius s around z0, h_i / ||E_i|| < s. That holds every violated row,
+and a violated row with E_i = 0 too; a satisfied zero row never enters.
+The rows with a positive u are the active rows W, and the solver reads
+the minimizer from them rather than from nnls's y: it solves
 (G_W H^-1 G_W') lam_W = G_W z0 - b_W and sets z = z0 - H^-1 G_W' lam_W,
 so the active rows hold to rounding and a tie at a vertex stays exact.
-That z must meet every other solved row to FEAS * (1 + max|b|), as the
-dual loop's last check required, or the solve raises ArithmeticError. When z0 already satisfies every solved row, no
-nnls problem is formed.
+Every solved row is then checked against the G z this forms. Rows that
+nnls did not see and that z violates by more than FEAS * (1 + max|b|)
+join its rows, and nnls runs again; a violated row that nnls saw outside
+W raises ArithmeticError, as the dual loop's last check required. The
+returned z minimizes over a row subset that holds its active rows and
+meets every solved row, so by KKT it is the minimizer over all of them;
+an infeasible subset makes the whole set infeasible.
 The solver reports no active set; solve_sample reads one from the slacks
-with MpQp.active_set.
+b - G z of its solve.
 """
 
 from dataclasses import dataclass
@@ -67,12 +78,18 @@ def qp_solve(
 
     Every solve starts cold, at the unconstrained minimizer. When no kept
     row is violated there by more than FEAS * (1 + max|b|) over the kept
-    right-hand sides b, it is the answer and `iterations` is 1; otherwise
-    one nnls call runs, and `iterations` is 1 plus the number of active
-    rows it finds. max_iter caps nnls's iterations, and reaching the cap
-    raises ArithmeticError, as does a minimizer from nnls's active rows
-    that violates a kept row outside them. A NaN or infinite parameter raises ValueError.
-    An empty idx returns the unconstrained minimizer with iterations = 1.
+    right-hand sides b, it is the answer and `iterations` is 1. Otherwise
+    nnls runs on the kept rows within the largest violation distance of
+    z0, and again, with the rows its minimizer violates added, until that
+    minimizer meets every kept row (see the module docstring).
+    `iterations` is 1 plus the number of active rows the last nnls call
+    finds; on an INFEASIBLE solve those are rows of whichever subset that
+    call saw, so the count depends on the seed. max_iter caps the
+    iterations of each nnls call, and reaching the cap raises
+    ArithmeticError, as does a minimizer that violates a row nnls saw
+    outside its active rows. A NaN or infinite parameter raises
+    ValueError. An empty idx returns the unconstrained minimizer with
+    iterations = 1.
     """
     x = finite_parameter(x)
     rows = None if idx is None else idx.zero_based()
@@ -97,42 +114,66 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
     # h over the largest violation distance max_i -h_i / ||E_i|| makes
     # ||y|| >= 1, whatever the scale of x, H, F or the rows; a violated
     # row with E_i = 0 leaves nothing to scale by and no point meets it
-    quads = p.g_quads if rows is None else p.g_quads[rows]
-    live = quads > 0.0
-    scale = (-h[live] / np.sqrt(quads[live])).max(initial=0.0)
+    norms = np.sqrt(p.g_quads if rows is None else p.g_quads[rows])
+    live = norms > 0.0
+    scale = (-h[live] / norms[live]).max(initial=0.0)
     if scale <= 0.0:
         return QpSolution(None, None, INFEASIBLE, 1), None
-    E = p.g_lt if rows is None else p.g_lt[rows]
+    # nnls sees the rows whose boundary lies within `scale` of z0 in the
+    # H-metric: every violated row, a violated zero row too, and the
+    # satisfied rows nearest z0; a row the minimizer then violates joins
+    seen = h < scale * norms
     e = np.zeros(p.n_z + 1)
     e[-1] = -1.0
     if max_iter is None:
         max_iter = 50 * (p.n_z + n) + 100
-    try:
-        u, resid = nnls(np.vstack([E.T, h / scale]), e, maxiter=max_iter)
-    except RuntimeError as exc:
-        raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
-    work = u.nonzero()[0]
-    if resid <= VANISHED:
-        return QpSolution(None, None, INFEASIBLE, 1 + len(work)), None
-    held = work if rows is None else rows[work]
-    Yw = p.hi_gt[:, held]
-    lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
-    z = z0 - Yw @ lam_w
-    gz = p.G @ z
-    slack = b_rows - (gz if rows is None else gz[rows])
-    slack[work] = 0.0
-    if slack.min() < -feas_slack:
-        raise ArithmeticError("nnls's active rows leave a solved row violated")
+    while True:
+        cols = seen.nonzero()[0]
+        E = p.g_lt[cols if rows is None else rows[cols]]
+        try:
+            u, resid = nnls(np.vstack([E.T, h[cols] / scale]), e,
+                            maxiter=max_iter)
+        except RuntimeError as exc:
+            raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
+        work = cols[u.nonzero()[0]]
+        if resid <= VANISHED:
+            return QpSolution(None, None, INFEASIBLE, 1 + len(work)), None
+        held = work if rows is None else rows[work]
+        Yw = p.hi_gt[:, held]
+        lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
+        z = z0 - Yw @ lam_w
+        gz = p.G @ z
+        slack = b_rows - (gz if rows is None else gz[rows])
+        slack[work] = 0.0
+        violated = slack < -feas_slack
+        if not violated.any():
+            break
+        if (violated & seen).any():
+            raise ArithmeticError(
+                "nnls's active rows leave a solved row violated")
+        seen |= violated
     lam = np.zeros(n)
     lam[work] = np.maximum(lam_w, 0.0)
     return QpSolution(z, lam, OPTIMAL, 1 + len(work)), gz
 
 
+def _sample(p: MpQp, x) -> SolvedSample | None:
+    """The full solve at a finite x as a sample, or None when infeasible.
+    Its active set reads the slacks b - G z off the solve's own G z, which
+    is bitwise p.active_set(x, z)."""
+    b = p.rhs(x)
+    sol, gz = _solve(p, x, b, None)
+    if not sol.is_optimal:
+        return None
+    return SolvedSample(x, sol.z_star,
+                        IndexSet.from_mask(np.abs(b - gz) <= p.act_band))
+
+
 def solve_sample(p: MpQp, x) -> SolvedSample:
     """Solve the full problem at x and package it as a reusable sample,
-    with the active set p.active_set reads from the minimizer's slacks."""
+    with the active set read from the minimizer's slacks."""
     x = finite_parameter(x)
-    sol = qp_solve(p, x)
-    if not sol.is_optimal:
+    sample = _sample(p, x)
+    if sample is None:
         raise ValueError(f"problem is infeasible at x={np.asarray(x)}")
-    return SolvedSample(x, sol.z_star, p.active_set(x, sol.z_star))
+    return sample

@@ -147,7 +147,7 @@ class TestInfeasibility:
     def test_bad_kappa_rejected_before_step_0(self, monkeypatch):
         sc = di_scenario()
         solves = []
-        monkeypatch.setattr(closedloop, "qp_solve",
+        monkeypatch.setattr(closedloop, "_solve",
                             lambda *a, **kw: solves.append(a))
         for bad in (np.nan, np.inf, -0.5):
             with pytest.raises(ValueError, match="kappa"):

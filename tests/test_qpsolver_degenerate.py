@@ -1,5 +1,6 @@
 """Degenerate rows, row scaling and the iteration cap of the QP solver,
-and its agreement with the dual active-set reference loop."""
+the rows its nnls calls see, and its agreement with the dual active-set
+reference loop."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import random_feasible_x, random_mpqp
 from oracles import reference_qp_solve
+from qptrim import closedloop, qpsolver
+from qptrim.bench import draw_initial_states
+from qptrim.mpc import scenario_from_dict
 from qptrim.mpqp import IndexSet, MpQp, example_two_halfplanes
+from qptrim.plants import gen_oscillating_masses
 from qptrim.qpsolver import INFEASIBLE, OPTIMAL, QpSolution, qp_solve
 from test_qpsolver import kkt_residuals
 
@@ -51,6 +56,50 @@ def test_violated_zero_row_is_infeasible():
     for x in (1.0, -1.0):
         assert qp_solve(p, [x]).status == INFEASIBLE
         assert qp_solve(p, [x], IndexSet([2])).is_optimal
+
+
+def nnls_spy(monkeypatch):
+    """A list that collects the matrix of every nnls call qpsolver makes."""
+    seen = []
+    real = qpsolver.nnls
+
+    def spy(A, b, maxiter):
+        seen.append(A.copy())
+        return real(A, b, maxiter=maxiter)
+
+    monkeypatch.setattr(qpsolver, "nnls", spy)
+    return seen
+
+
+def zero_row_problem(w_zero):
+    """Rows z_1 <= 0, z_2 <= 10 and the zero row 0 <= w_zero, with z0 = -x:
+    at x = (-1, 0) the first row is violated by 1, the second lies 10
+    from z0, outside the ball of radius 1, and the zero row holds exactly
+    when w_zero >= 0."""
+    return MpQp(H=np.eye(2), F=np.eye(2),
+                G=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], S=np.zeros((3, 2)),
+                w=[0.0, 10.0, w_zero])
+
+
+def test_violated_zero_row_reaches_nnls(monkeypatch):
+    # the zero row sits beside the live violated row in the seed; the far
+    # row stays out of it
+    seen = nnls_spy(monkeypatch)
+    sol = qp_solve(zero_row_problem(-1.0), [-1.0, 0.0])
+    assert sol.status == INFEASIBLE
+    assert [A.shape[1] for A in seen] == [2]
+    assert not seen[0][:-1, 1].any() and seen[0][-1, 1] < 0.0
+
+
+def test_satisfied_zero_row_never_reaches_nnls(monkeypatch):
+    seen = nnls_spy(monkeypatch)
+    for w_zero in (1.0, 0.0):
+        seen.clear()
+        sol = qp_solve(zero_row_problem(w_zero), [-1.0, 0.0])
+        assert sol.is_optimal and sol.iterations == 2
+        assert np.array_equal(sol.z_star, [0.0, 0.0])
+        assert [A.shape[1] for A in seen] == [1]
+        assert seen[0][:-1].any(axis=0).all()
 
 
 def test_far_minimizer_stays_feasible():
@@ -166,3 +215,35 @@ def test_reference_comparison_reaches_the_drop_path():
         q, x, subsets = reference_cases(rng, 4, 2, 16, 2.0, 2.0)
         drops += sum(agrees_with_reference(q, x, idx) > 0 for idx in subsets)
     assert drops >= 5
+
+
+def test_loop_solves_add_the_rows_nnls_missed(monkeypatch):
+    # the masses-3 starts of the loop golden: nnls sees only the rows near
+    # z0, and where the minimizer over them violates a row it did not
+    # see, that row joins and nnls runs again
+    seen = nnls_spy(monkeypatch)
+    solves = []
+    real = closedloop._solve
+
+    def spy(p, x, b, rows, max_iter=None):
+        first = len(seen)
+        out = real(p, x, b, rows, max_iter)
+        n = p.n_c if rows is None else len(rows)
+        solves.append((p, x.copy(), rows, n, seen[first:]))
+        return out
+
+    monkeypatch.setattr(closedloop, "_solve", spy)
+    sc = scenario_from_dict(gen_oscillating_masses(3, h=0.5, N=10))
+    for x0 in draw_initial_states(sc, 36, 0):
+        closedloop.simulate(sc, x0, 25, mode="full")
+    again = fewer = 0
+    for p, x, rows, n, calls in solves:
+        if not calls:
+            continue
+        again += len(calls) > 1
+        if min(A.shape[1] for A in calls) < n:
+            fewer += 1
+            idx = None if rows is None else IndexSet(rows + 1)
+            agrees_with_reference(p, x, idx)
+    assert again > 0
+    assert fewer > 0
