@@ -24,7 +24,8 @@ from .closedloop import (
     simulate,
 )
 from .lifted import SigmaTable, lift, sigma_table
-from .lipschitz import check_kappa_spec, glc, glc_scaled, resolve_kappa
+from .lipschitz import (DegenerateRow, check_kappa_spec, glc, glc_scaled,
+                        resolve_kappa)
 from .mpc import scenario_from_dict
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
@@ -114,7 +115,11 @@ def cmd_solve(args) -> int:
 
 def cmd_glc(args) -> int:
     p = _load_problem(args.problem)
-    report = glc_scaled(p) if args.scaled else glc(p)
+    try:
+        report = glc_scaled(p) if args.scaled else glc(p)
+    except DegenerateRow as exc:
+        raise SystemExit(f"cannot certify a constant for {args.problem}: "
+                         f"{exc}") from None
     _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0
 

@@ -10,9 +10,16 @@ A constant valid for every subset must dominate every realizable piece. A
 row set that is active for some subset I is also active for the subset
 I = A itself, so realizability is decided on that problem alone.
 
-glc certifies the constant: it enumerates the row sets with
+glc certifies the constant: it searches the row sets with
 |A| <= min(n_z, n_c) and returns the larger of the closed-form estimate and
 the steepest realizable piece. Its cost is exponential in min(n_z, n_c).
+The search grows the k-row sets from the independent (k-1)-row sets only,
+adding a row only where it is independent of each member as a pair: by
+interlacing, sigma_min([G_A; g_r]) <= sigma_min(G_A), so no skipped set is
+independent. It then bounds each set's slope from the singular values the
+independence test already has, and forms the exact slope, two more SVDs,
+only where the bound reaches the floor (see _piece_slopes). The candidates,
+their slopes and their order are those of plain enumeration, bitwise.
 glc_estimate is the closed form alone. It is cheap but uncertified: it
 replaces lambda_min(G_A H^-1 G_A') with the smallest per-row curvature,
 which holds only for single rows or rows orthogonal in the H^-1 metric, so
@@ -21,7 +28,6 @@ leaves the minimizer, and so every piece, unchanged but can tighten the
 closed form.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +45,9 @@ _CHUNK = 20_000
 
 
 class DegenerateRow(Exception):
-    """A constraint row has (numerically) zero curvature G_j H^-1 G_j'."""
+    """A constraint row has (numerically) zero curvature G_j H^-1 G_j', or
+    a row set that passes the rank tolerance has a Gram matrix
+    G_A H^-1 G_A' that cannot be factored; the message names the rows."""
 
 
 class NoValidTrials(Exception):
@@ -104,9 +112,14 @@ def glc(p: MpQp) -> GlcReport:
     """Certified Lipschitz constant valid for every constraint subset.
 
     The larger of glc_estimate and the steepest piece realizable for some
-    parameter and subset. Enumerates every linearly independent row set of
-    size up to min(n_z, n_c), so the cost is exponential in that size;
-    glc_estimate is the by-name fallback where that is out of reach.
+    parameter and subset. Visits every linearly independent row set of
+    size up to min(n_z, n_c), grown from the independent sets one row
+    smaller, so the cost is exponential in that size; glc_estimate is the
+    by-name fallback where that is out of reach. Only the sets whose slope
+    bound ||D_A||_F (1 + 2 k c eps), c = cond(G_A)^2 cond(H), reaches the
+    estimate get their exact slope. Raises DegenerateRow, naming the rows,
+    when a row has zero curvature or an independent set's Gram matrix
+    cannot be factored.
     """
     report = glc_estimate(p)
     piece = _steepest_piece(p, report.kappa)
@@ -122,22 +135,50 @@ def glc(p: MpQp) -> GlcReport:
     return report
 
 
-def _piece_slopes(p: MpQp, p_rows: np.ndarray, sets: np.ndarray):
-    """Slopes ||D_A|| for a stack of 0-based row sets (m x k).
+def _piece_slopes(p: MpQp, p_rows: np.ndarray, sets: np.ndarray,
+                  floor: float, cond_h: float):
+    """The independent sets of a stack of 0-based row sets (m x k), and
+    the slopes ||D_A|| above floor with their sets.
 
-    Returns the slopes and the sets they belong to; linearly dependent sets
-    carry no piece and are dropped. Solving with the Gram matrix loses up to
-    about cond(G_A H^-1 G_A') * eps relative accuracy, so each slope is
-    raised by k times that much to stay an upper bound.
+    Linearly dependent sets carry no piece and are dropped. Solving with
+    the Gram matrix loses up to about cond(G_A H^-1 G_A') * eps relative
+    accuracy, so each slope is raised by k times that much to stay an upper
+    bound. The exact slope costs two more SVDs per set, so it is formed
+    only where it can pass floor: cond(G_A H^-1 G_A') <= c with
+    c = cond(G_A)^2 cond(H), from the singular values the independence
+    test already has, and ||D_A||_2 <= ||D_A||_F. A set with c <= 1e8 and
+    ||D_A||_F (1 + 2 k c eps) (1 + 1e-12) <= floor would fall below floor
+    too, the two factors covering the rounding of c and of both norms.
     """
     g_a = p.G[sets]                                   # m x k x n_z
-    indep = np.linalg.svd(g_a, compute_uv=False)[:, -1] > rank_tol(p.G)
-    sets, g_a = sets[indep], g_a[indep]
+    sv = np.linalg.svd(g_a, compute_uv=False)
+    indep = sv[:, -1] > rank_tol(p.G)
+    sets, g_a, sv = sets[indep], g_a[indep], sv[indep]
     y_a = p.hi_gt.T[sets]                             # rows of G_A H^-1
     gram = g_a @ y_a.transpose(0, 2, 1)
-    d_a = y_a.transpose(0, 2, 1) @ np.linalg.solve(gram, p_rows[sets]) - p.hi_ft
-    rounding = sets.shape[1] * np.linalg.cond(gram) * np.finfo(float).eps
-    return np.linalg.norm(d_a, ord=2, axis=(1, 2)) * (1.0 + rounding), sets
+    try:
+        solved = np.linalg.solve(gram, p_rows[sets])
+    except np.linalg.LinAlgError:
+        for rows, g in zip(sets, gram):
+            try:
+                np.linalg.solve(g, p_rows[rows])
+            except np.linalg.LinAlgError:
+                raise DegenerateRow(
+                    f"rows {[int(r) + 1 for r in rows]} are independent "
+                    "within the rank tolerance, but their Gram matrix "
+                    "G_A H^-1 G_A' is singular") from None
+        raise
+    d_a = y_a.transpose(0, 2, 1) @ solved - p.hi_ft
+    k, eps = sets.shape[1], np.finfo(float).eps
+    c = (sv[:, 0] / sv[:, -1]) ** 2 * cond_h
+    bound = (np.linalg.norm(d_a, axis=(1, 2)) * (1.0 + 2 * k * c * eps)
+             * (1.0 + 1e-12))
+    exact = (c > 1e8) | (bound > floor)
+    gram, d_a, steep = gram[exact], d_a[exact], sets[exact]
+    rounding = k * np.linalg.cond(gram) * eps
+    slopes = np.linalg.norm(d_a, ord=2, axis=(1, 2)) * (1.0 + rounding)
+    above = slopes > floor
+    return sets, slopes[above], steep[above]
 
 
 def _realizable(p: MpQp, p_rows: np.ndarray, rows: np.ndarray) -> bool:
@@ -165,22 +206,40 @@ def _realizable(p: MpQp, p_rows: np.ndarray, rows: np.ndarray) -> bool:
 def _steepest_piece(p: MpQp, floor: float):
     """Steepest realizable piece steeper than floor, as (slope, 1-based rows).
 
-    Slopes are cheap and batched; realizability costs an LP, so candidates
-    are tried steepest first and the first realizable one is the answer.
-    Excess at rounding level over floor is not counted as a steeper piece.
+    Each independent (k-1)-row set is extended by every larger row that is
+    independent alone and, from three rows on, of each member as a pair;
+    every skipped set has a dependent subset, so it is dependent (see the
+    module docstring). The sets stay in lexicographic order. Slopes are
+    batched, at most _CHUNK sets at a time; realizability costs an LP, so
+    candidates are tried steepest first, ties in that order, and the first
+    realizable one is the answer. Excess at rounding level over floor is
+    not counted as a steeper piece.
     """
     p_rows = p.S + p.G @ p.hi_ft
     floor = floor * (1.0 + 1e-12)
+    cond_h = np.linalg.cond(p.H)
     candidates = []
+    sets = np.arange(p.n_c)[:, None]
     for k in range(1, min(p.n_z, p.n_c) + 1):
-        combos = itertools.combinations(range(p.n_c), k)
-        while True:
-            sets = np.array(list(itertools.islice(combos, _CHUNK)), dtype=int)
-            if not sets.size:
+        if k > 1:
+            grow = joins[sets].all(axis=1) & (np.arange(p.n_c) > sets[:, -1:])
+            at, row = grow.nonzero()
+            sets = np.column_stack([sets[at], row])
+            if not len(sets):
                 break
-            slopes, sets = _piece_slopes(p, p_rows, sets)
-            steep = slopes > floor
-            candidates.extend(zip(slopes[steep].tolist(), sets[steep]))
+        found = []
+        for start in range(0, len(sets), _CHUNK):
+            indep, slopes, steep = _piece_slopes(
+                p, p_rows, sets[start:start + _CHUNK], floor, cond_h)
+            found.append(indep)
+            candidates.extend(zip(slopes.tolist(), steep))
+        sets = np.concatenate(found)
+        if k <= 2:
+            # joins[i, r]: row r may extend a set holding row i; after one
+            # row, when r is independent, and from two rows on, when the
+            # pair {i, r} is
+            joins = np.zeros((p.n_c, p.n_c), dtype=bool)
+            joins[sets[:, 0] if k == 2 else slice(None), sets[:, -1]] = True
     candidates.sort(key=lambda c: -c[0])
     for slope, rows in candidates:
         if _realizable(p, p_rows, rows):

@@ -19,8 +19,9 @@ are not.
 
 nnls's cost grows with its columns, and few rows end active, so nnls
 first sees only the seed: the rows whose boundary meets the H-metric ball
-of radius s around z0, h_i / ||E_i|| < s. That holds every violated row,
-and a violated row with E_i = 0 too; a satisfied zero row never enters.
+of radius s around z0, h_i / ||E_i|| < s. That holds every violated row.
+A row with E_i = 0 enters only when it is violated by more than
+FEAS * (1 + max|b|), the band the first check allows every row.
 The rows with a positive u are the active rows W, and the solver reads
 the minimizer from them rather than from nnls's y: it solves
 (G_W H^-1 G_W') lam_W = G_W z0 - b_W and sets z = z0 - H^-1 G_W' lam_W,
@@ -120,9 +121,10 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
     if scale <= 0.0:
         return QpSolution(None, None, INFEASIBLE, 1), None
     # nnls sees the rows whose boundary lies within `scale` of z0 in the
-    # H-metric: every violated row, a violated zero row too, and the
-    # satisfied rows nearest z0; a row the minimizer then violates joins
-    seen = h < scale * norms
+    # H-metric: every violated row and the satisfied rows nearest z0; a
+    # zero row only when it is violated beyond feas_slack, as the first
+    # check reads it; a row the minimizer then violates joins
+    seen = h < np.where(live, scale * norms, -feas_slack)
     e = np.zeros(p.n_z + 1)
     e[-1] = -1.0
     if max_iter is None:

@@ -3,15 +3,17 @@
 These deliberately share no code with the package solvers: the QP oracle
 enumerates candidate active subsets and solves bordered KKT systems directly.
 The reference dual loop shares only the solver's status names and FEAS.
+The reference piece search shares only the realizability LP.
 """
 
 import itertools
 
 import numpy as np
 
+from qptrim.lipschitz import _realizable
 from qptrim.mpqp import finite_parameter
 from qptrim.qpsolver import INFEASIBLE, OPTIMAL
-from qptrim.tolerances import FEAS
+from qptrim.tolerances import FEAS, rank_tol
 
 
 def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
@@ -134,3 +136,40 @@ def reference_qp_solve(p, x, idx=None, max_iter=None):
         held = work if j is None else work + [j]
         z = z0 - Y[:, held] @ lam[held]
     raise ArithmeticError("active-set iteration limit exceeded")
+
+
+
+# The piece search that qptrim.lipschitz._steepest_piece ran before it grew
+# its row sets from independent ones: every row set of each size, in
+# itertools order, with three batched SVDs per set (independence, the
+# condition number of the Gram matrix and the 2-norm of D_A). The two must
+# return the same (slope, rows), bitwise.
+
+def reference_steepest_piece(p, floor, chunk=20_000):
+    """Steepest realizable piece steeper than floor, as (slope, 1-based
+    rows), or None, by plain enumeration of the row sets."""
+    p_rows = p.S + p.G @ p.hi_ft
+    floor = floor * (1.0 + 1e-12)
+    candidates = []
+    for k in range(1, min(p.n_z, p.n_c) + 1):
+        combos = itertools.combinations(range(p.n_c), k)
+        while True:
+            sets = np.array(list(itertools.islice(combos, chunk)), dtype=int)
+            if not sets.size:
+                break
+            g_a = p.G[sets]
+            indep = np.linalg.svd(g_a, compute_uv=False)[:, -1] > rank_tol(p.G)
+            sets, g_a = sets[indep], g_a[indep]
+            y_a = p.hi_gt.T[sets]
+            gram = g_a @ y_a.transpose(0, 2, 1)
+            d_a = (y_a.transpose(0, 2, 1) @ np.linalg.solve(gram, p_rows[sets])
+                   - p.hi_ft)
+            rounding = k * np.linalg.cond(gram) * np.finfo(float).eps
+            slopes = np.linalg.norm(d_a, ord=2, axis=(1, 2)) * (1.0 + rounding)
+            steep = slopes > floor
+            candidates.extend(zip(slopes[steep].tolist(), sets[steep]))
+    candidates.sort(key=lambda c: -c[0])
+    for slope, rows in candidates:
+        if _realizable(p, p_rows, rows):
+            return float(slope), [int(r) + 1 for r in rows]
+    return None

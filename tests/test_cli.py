@@ -78,6 +78,21 @@ def test_glc_reports_certified_piece(tmp_path, capsys):
     assert d["kappa"] == d["steepest_piece"]["slope"] >= np.sqrt(1.0 + 1e4)
 
 
+def test_glc_names_rows_with_singular_gram(tmp_path):
+    # rows independent within the rank tolerance whose Gram matrix
+    # [[1, 1], [1, 1 + 1e-16]] rounds to a singular one
+    f = tmp_path / "singular.json"
+    f.write_text(json.dumps({"H": [[1.0, 0.0], [0.0, 1.0]], "F": [[0.0, 0.0]],
+                             "G": [[1.0, 0.0], [1.0, 1e-8]],
+                             "S": [[1.0], [0.0]], "w": [0.0, -1.0]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["glc", str(f)])
+    assert str(exc.value) == (
+        f"cannot certify a constant for {f}: rows [1, 2] are independent "
+        "within the rank tolerance, but their Gram matrix G_A H^-1 G_A' is "
+        "singular")
+
+
 def test_trim_with_formula_kappa(prob_file, samples_file, capsys):
     assert main(["trim", prob_file, "--samples", samples_file,
                  "-x", "-2", "--kappa", "1.0"]) == 0

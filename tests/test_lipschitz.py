@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import reference_steepest_piece
+from qptrim import lipschitz
 from qptrim.lipschitz import (
     DegenerateRow,
     NoValidTrials,
@@ -11,8 +13,11 @@ from qptrim.lipschitz import (
     glc_scaled_estimate,
     phi_default,
 )
+from qptrim.mpc import scenario_from_dict
 from qptrim.mpqp import IndexSet, MpQp, example_two_halfplanes
+from qptrim.plants import gen_double_integrator
 from qptrim.qpsolver import qp_solve
+from qptrim.verify import _random_mpqp
 
 from helpers import random_mpqp
 
@@ -127,6 +132,90 @@ def test_unrealizable_parallel_piece_is_ignored():
     assert report.steepest_piece is None
     assert report.kappa == glc_estimate(p).kappa
     assert report.to_dict()["steepest_piece"] is None
+
+
+@pytest.mark.parametrize("delta, singular", [
+    (1e-7, False), (1e-8, True), (1e-9, True), (3e-10, True), (1e-10, False)])
+def test_singular_gram_of_independent_rows_named(delta, singular):
+    # from 1e-8 to 3e-10 the rows pass the rank tolerance, but 1 + delta^2
+    # rounds to 1 in their Gram matrix; the pair's piece could be the
+    # steepest, so the search stops rather than skip it. At 1e-7 the Gram
+    # matrix factors, and at 1e-10 the rows are dependent
+    p = _nearly_parallel(w2=-1.0, delta=delta)
+    for certify in (glc, glc_scaled):
+        if not singular:
+            assert np.isfinite(certify(p).kappa)
+            continue
+        with pytest.raises(DegenerateRow, match=r"rows \[1, 2\]"):
+            certify(p)
+
+
+def _outcome(search, p, floor, singular):
+    """search(p, floor), or "singular" when it raises `singular`."""
+    try:
+        return search(p, floor)
+    except singular:
+        return "singular"
+
+
+def _with_row(p, g, s, w):
+    return MpQp(p.H, p.F, np.vstack([p.G, g]), np.vstack([p.S, s]),
+                np.append(p.w, w))
+
+
+EXTRA_ROWS = ("none", "near-parallel", "antiparallel", "copy")
+
+
+@pytest.mark.parametrize("extra", EXTRA_ROWS)
+def test_grown_search_matches_enumeration(extra):
+    # random instances, some with one more row near-parallel, antiparallel
+    # or parallel to another; every floor, plain and scaled, must give the
+    # plain enumeration's (slope, rows) or its singular Gram exactly
+    rng = np.random.default_rng(EXTRA_ROWS.index(extra))
+    outcomes = []
+    for _ in range(15):
+        p, _ = _random_mpqp(rng, int(rng.integers(1, 6)),
+                            int(rng.integers(1, 4)), int(rng.integers(2, 16)))
+        j = int(rng.integers(p.n_c))
+        g, s, w = p.G[j], p.S[j], p.w[j]
+        if extra == "near-parallel":
+            tilt = 10.0 ** rng.uniform(-11, -6) * rng.normal(size=p.n_z)
+            p = _with_row(p, g + tilt, s, w + 0.1)
+        elif extra == "antiparallel":
+            p = _with_row(p, -g, -s, 0.3 - w)
+        elif extra == "copy":
+            c = rng.uniform(0.5, 2.0)
+            p = _with_row(p, c * g, c * s, c * w)
+        for q in (p, p.scaled(phi_default(p))):
+            for floor in (0.0, 1.0, glc_estimate(q).kappa):
+                grown = _outcome(lipschitz._steepest_piece, q, floor,
+                                 DegenerateRow)
+                assert grown == _outcome(reference_steepest_piece, q, floor,
+                                         np.linalg.LinAlgError)
+                outcomes.append(grown)
+    assert None in outcomes
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def _double_integrator(N):
+    return scenario_from_dict(gen_double_integrator(h=0.5, N=N)).condensed
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_double_integrator_reports_match_enumeration(monkeypatch, N):
+    p = _double_integrator(N)
+    grown = [glc(p).to_dict(), glc_scaled(p).to_dict()]
+    monkeypatch.setattr(lipschitz, "_steepest_piece", reference_steepest_piece)
+    assert [glc(p).to_dict(), glc_scaled(p).to_dict()] == grown
+
+
+def test_chunk_boundaries_leave_search_unchanged(monkeypatch):
+    p = _double_integrator(3)
+    reports = [glc(p).to_dict(), glc_scaled(p).to_dict()]
+    monkeypatch.setattr(lipschitz, "_CHUNK", 7)
+    assert [glc(p).to_dict(), glc_scaled(p).to_dict()] == reports
+    # at floor 0 every independent set is a candidate
+    assert lipschitz._steepest_piece(p, 0.0) == reference_steepest_piece(p, 0.0)
 
 
 def test_zero_curvature_row_rejected():

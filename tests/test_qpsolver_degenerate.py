@@ -102,6 +102,16 @@ def test_satisfied_zero_row_never_reaches_nnls(monkeypatch):
         assert seen[0][:-1].any(axis=0).all()
 
 
+def test_zero_row_violated_inside_band_holds():
+    # 0 <= -1e-12 lies inside the band FEAS (1 + max|b|) that the first
+    # check allows, so the status must not depend on whether a live row is
+    # violated too: at x = (-1, 0) the first row is, at x = (1, 0) none is
+    p = zero_row_problem(-1e-12)
+    for x in ([1.0, 0.0], [-1.0, 0.0]):
+        agrees_with_reference(p, np.array(x), None)
+        assert qp_solve(p, x).is_optimal
+
+
 def test_far_minimizer_stays_feasible():
     # z* = x for x <= -2, at distance 1.5 |x| sqrt(2) from z0 = -x / 2 in
     # the H-metric: a fixed residual threshold on the unscaled problem
