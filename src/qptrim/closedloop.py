@@ -140,11 +140,13 @@ def simulate(
     gives. The loop's own triple is kept from its last step and not
     re-validated with check_sample: its active set is read from its own
     slacks, so only its feasibility is checked, and a violated row raises
-    InfeasibleAtStep. The offline sample is validated by check_sample, with
-    one slack computation, since the dataset may be user-built; its triple
-    is reused while the nearest sample stays the same object, so each
-    sample is checked once per run of steps it stays nearest. An empty
-    kept set returns the unconstrained minimizer.
+    InfeasibleAtStep. The offline samples are validated by check_sample,
+    since the dataset may be user-built, but only once per dataset and
+    problem (OfflineDataset.triples): the first call that trims against a
+    dataset checks every sample before step 0, so an inconsistent sample
+    raises ValueError and an empty dataset EmptyDataset before any solve,
+    and each offline step then only looks up its nearest sample's triple.
+    An empty kept set returns the unconstrained minimizer.
     StepRecord.wall_time runs from the state to the input, trim included;
     t_trim and t_solve split it.
     """
@@ -162,6 +164,9 @@ def simulate(
         raise ValueError(f"x0 has shape {x.shape}, expected ({scenario.n},)")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 {x.tolist()} is not finite")
+    triples = None
+    if mode in ("offline-nearest", "hybrid"):
+        triples = offline.triples(p)   # checks each sample once, before step 0
     m = scenario.m
     meta = {"mode": mode, "kappa": kappa, "scenario": scenario.name}
     records: list = []
@@ -173,7 +178,6 @@ def simulate(
 
     feas_floor = -p.feas_band
     own = slack_prev = None   # last step's (x, G z, active mask), its slack
-    nearest = near = None     # last offline sample and its triple
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
             scenario.stripped_param_rows.contains(x, FEAS)
@@ -195,11 +199,7 @@ def simulate(
                 samples.append(own)
             if mode != "adaptive-online":
                 sample = offline.nearest(x)
-                if sample is not nearest:
-                    nearest = sample
-                    near = (sample.x_hat, check_sample(p, sample),
-                            sample.active.to_mask(p.n_c))
-                samples.append(near)
+                samples.append(triples[id(sample)])
             if mode == "hybrid" and not (
                     p.licq_holds(IndexSet.from_mask(own[2]))
                     and p.licq_holds(sample.active)):
@@ -235,6 +235,11 @@ class OfflineDataset:
     {"kind": "centers"}; coverage is the max distance from any state in the
     terminal set to its nearest sample (exact cell bound for grids,
     sample-based estimate otherwise).
+
+    The sample parameters are kept column-major for nearest_index. One memo
+    slot holds the last problem the samples were checked against and each
+    sample's (x_hat, G z*, active mask) triple under it; the samples are
+    treated as immutable once the dataset is built.
     """
 
     samples: list
@@ -243,12 +248,27 @@ class OfflineDataset:
     coverage_is_estimate: bool
 
     def __post_init__(self):
-        self._points = np.array([s.x_hat for s in self.samples])
+        self._points = np.asfortranarray([s.x_hat for s in self.samples])
+        self._checked = (None, None)    # (problem, triples by id(sample))
 
     def nearest(self, x) -> SolvedSample:
         if not self.samples:
             raise EmptyDataset("dataset has no samples")
         return self.samples[nearest_index(self._points, x)]
+
+    def triples(self, p: MpQp) -> dict:
+        """Each sample's (x_hat, G z*, active mask) triple under p, keyed by
+        id(sample), with G z* as check_sample returns it. The first call
+        with a problem (compared with `is`) runs check_sample on every
+        sample, so an inconsistent one raises ValueError there; later calls
+        return the memo. An empty dataset raises EmptyDataset."""
+        if not self.samples:
+            raise EmptyDataset("dataset has no samples")
+        if self._checked[0] is not p:
+            self._checked = (p, {
+                id(s): (s.x_hat, check_sample(p, s), s.active.to_mask(p.n_c))
+                for s in self.samples})
+        return self._checked[1]
 
 
 def default_offline_spacing(scenario) -> float:

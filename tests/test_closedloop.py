@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -382,20 +383,53 @@ class TestOfflineDataset:
         with pytest.raises(ValueError):
             build_offline_dataset(sc, spacing=-1.0)
 
-    def test_sample_checked_once_while_nearest(self, monkeypatch):
+    def test_samples_checked_once_per_dataset_and_problem(self, monkeypatch):
         sc = di_scenario()
-        ds = offline_datasets()["grid"]
+        grid = offline_datasets()["grid"]
+        # a dataset of its own, whose memo no other test has filled
+        ds = closedloop.OfflineDataset(grid.samples, grid.geometry,
+                                       grid.coverage, False)
         checked = []
         real = closedloop.check_sample
         monkeypatch.setattr(closedloop, "check_sample",
                             lambda p, s: checked.append(id(s)) or real(p, s))
+        once = sorted(id(s) for s in ds.samples)
         x0 = boundary_point(sc.XN, [-1.0, 0.3])
-        trace = simulate(sc, x0, 20, mode="offline-nearest", offline=ds)
-        nearest = [id(ds.nearest(x)) for x in trace.states()[1:]]
-        changes = [s for k, s in enumerate(nearest)
-                   if k == 0 or s != nearest[k - 1]]
-        assert checked == changes
-        assert len(changes) < len(nearest)
+        first = simulate(sc, x0, 20, mode="offline-nearest", offline=ds)
+        again = simulate(sc, x0, 20, mode="offline-nearest", offline=ds)
+        assert sorted(checked) == once
+        assert np.array_equal(again.inputs(), first.inputs())
+        # a different problem object, equal in value, is checked afresh
+        copy = dataclasses.replace(
+            sc, condensed=MpQp.from_dict(sc.condensed.to_dict()))
+        simulate(copy, x0, 20, mode="offline-nearest", offline=ds)
+        assert sorted(checked) == sorted(2 * once)
+
+    @pytest.mark.parametrize("mode", ["offline-nearest", "hybrid"])
+    def test_bad_dataset_rejected_before_step_0(self, monkeypatch, mode):
+        sc = di_scenario()
+        grid = offline_datasets()["grid"].samples
+        x0 = boundary_point(sc.XN, [-1.0, 0.3])
+        states = simulate(sc, x0, 20).states()
+        dist = np.array([np.linalg.norm(states - s.x_hat, axis=1)
+                         for s in grid])
+        # the good sample is nearest all along; the bad one never is
+        good = grid[int(np.argmin(dist.max(axis=1)))]
+        far = grid[int(np.argmax(dist.min(axis=1)))]
+        assert dist.max(axis=1).min() < dist.min(axis=1).max() / 2
+        bad = SolvedSample(far.x_hat, far.z_star, [sc.condensed.n_c])
+        assert bad.active != far.active
+        solves = []
+        monkeypatch.setattr(closedloop, "_solve",
+                            lambda *a, **kw: solves.append(a))
+        ds = closedloop.OfflineDataset([good, bad], {"kind": "centers"},
+                                       1.0, True)
+        with pytest.raises(ValueError, match="inconsistent"):
+            simulate(sc, x0, 20, mode=mode, offline=ds)
+        empty = closedloop.OfflineDataset([], {"kind": "centers"}, 0.0, True)
+        with pytest.raises(EmptyDataset):
+            simulate(sc, x0, 20, mode=mode, offline=empty)
+        assert solves == []
 
     def test_inconsistent_sample_still_rejected(self):
         sc = di_scenario()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qptrim.lipschitz import glc
 from qptrim.mpqp import IndexSet, SolvedSample, example_two_halfplanes
@@ -9,6 +11,7 @@ from qptrim.trim import (
     TrimOutcome,
     certify,
     check_sample,
+    nearest_index,
     trim_multi,
     trim_single,
 )
@@ -186,6 +189,44 @@ class TestTrimSingle:
         assert out.kept == IndexSet([1]) and out.removed == IndexSet([2, 3])
         # at x = -2 neither 0*z row holds, so both stay
         assert trim_single(p, 1e3, s, [-2.0]).kept == IndexSet.full(3)
+
+
+@st.composite
+def query_sets(draw, n_min, n_max):
+    """Stacked points and a query, with one row repeated and every row
+    mirrored about the query. On the quarter grid both give exact ties;
+    elsewhere the mirrors are near ties that a change of summation order
+    can flip."""
+    n = draw(st.integers(n_min, n_max), label="n_x")
+    m = draw(st.integers(1, 25), label="rows")
+    if draw(st.booleans(), label="quarter grid"):
+        coord = st.integers(-8, 8).map(lambda k: 0.25 * k)
+    else:
+        coord = st.floats(-1e3, 1e3, allow_nan=False)
+    row = st.lists(coord, min_size=n, max_size=n)
+    points = np.array(draw(st.lists(row, min_size=m, max_size=m)))
+    x = np.array(draw(row, label="x"))
+    j = draw(st.integers(0, m - 1), label="copied row")
+    return np.vstack([points, points[j], 2.0 * x - points]), x
+
+
+class TestNearestIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(query_sets(1, 7), st.booleans())
+    def test_bitwise_numpy_norm_up_to_7(self, case, column_major):
+        points, x = case
+        want = int(np.argmin(np.linalg.norm(points - x, axis=1)))
+        if column_major:
+            points = np.asfortranarray(points)
+        assert nearest_index(points, x) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(query_sets(8, 12))
+    def test_a_nearest_row_from_8(self, case):
+        points, x = case
+        d = np.linalg.norm(points - x, axis=1)
+        got = d[nearest_index(np.asfortranarray(points), x)]
+        assert got <= d.min() * (1.0 + 1e-12) + 1e-15
 
 
 class TestSampleValidation:
