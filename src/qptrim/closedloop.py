@@ -58,11 +58,12 @@ class StepRecord:
     x: np.ndarray
     u: np.ndarray
     kept_count: int
-    iterations: int      # 1, plus the active rows when the solve ran nnls
+    iterations: int      # 1, plus |W| when z0 failed the first check
     wall_time: float
     mode: str
     t_trim: float        # choosing the kept rows; 0 on a full step
     t_solve: float       # the QP solve
+    path: str            # the branch that settled it: "z0", "guess" or "nnls"
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +76,7 @@ class StepRecord:
             "mode": self.mode,
             "t_trim": float(self.t_trim),
             "t_solve": float(self.t_solve),
+            "path": self.path,
         }
 
 
@@ -114,8 +116,8 @@ def simulate(
 ) -> ClosedLoopTrace:
     """Run the receding-horizon loop for `steps` control steps.
 
-    Step 0 always solves the full problem, and every step solves from a
-    cold start. Later steps pick rows per mode:
+    Step 0 always solves the full problem, from the unconstrained
+    minimizer with no guess. Later steps pick rows per mode:
       full             re-solve everything
       adaptive-online  trim against the previous step's sample
       offline-nearest  trim against the nearest offline sample
@@ -147,8 +149,22 @@ def simulate(
     raises ValueError and an empty dataset EmptyDataset before any solve,
     and each offline step then only looks up its nearest sample's triple.
     An empty kept set returns the unconstrained minimizer.
+
+    Every step after the first hands the solve a guessed active set: the
+    rows W the last solve was settled on, each mapped by the scenario's
+    row_shift to its row one stage earlier (the rows the shifted plan
+    holds), in trimmed modes only those kept. The solve tries the guess
+    only when z0 fails its first check, and returns its minimizer only
+    when KKT proves it: a Gram matrix that factors, multipliers >= 0,
+    every solved row met and the guessed rows met as equalities; otherwise
+    it runs nnls, so a wrong guess changes no output. After a solve with
+    an active terminal row the next step gets no guess: the shifted plan
+    is then seldom optimal, while with the terminal rows inactive the
+    solution is the constrained LQR one and its shift stays optimal
+    (Scokaert & Rawlings 1998).
     StepRecord.wall_time runs from the state to the input, trim included;
-    t_trim and t_solve split it.
+    t_trim and t_solve split it, and StepRecord.path names the branch that
+    settled the solve.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -178,6 +194,7 @@ def simulate(
 
     feas_floor = -p.feas_band
     own = slack_prev = None   # last step's (x, G z, active mask), its slack
+    guess = None              # last solve's active rows, one stage earlier
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
             scenario.stripped_param_rows.contains(x, FEAS)
@@ -199,17 +216,20 @@ def simulate(
                 samples.append(own)
             if mode != "adaptive-online":
                 sample = offline.nearest(x)
-                samples.append(triples[id(sample)])
+                triple, licq = triples[id(sample)]
+                samples.append(triple)
             if mode == "hybrid" and not (
-                    p.licq_holds(IndexSet.from_mask(own[2]))
-                    and p.licq_holds(sample.active)):
+                    licq and p.licq_holds(IndexSet.from_mask(own[2]))):
                 # dependent active rows: trim against the nearer sample
                 # alone, as trim_multi does without the LICQ assertion
                 pair = np.array([own[0], sample.x_hat])
                 samples = [samples[nearest_index(pair, x)]]
-            rows = _kept_mask(p, kappa, x, b, samples).nonzero()[0]
+            kept = _kept_mask(p, kappa, x, b, samples)
+            rows = kept.nonzero()[0]
+            if guess is not None:
+                guess = guess[kept[guess]]
         t1 = time.perf_counter()
-        sol, gz = _solve(p, x, b, rows)
+        sol, gz, active, path = _solve(p, x, b, rows, guess=guess)
         t2 = time.perf_counter()
         if not sol.is_optimal:
             fail(k, f"QP solve returned {sol.status}")
@@ -219,10 +239,14 @@ def simulate(
         # trimming keeps the minimizer, so re-reading activity is exact
         slack_prev = b - gz
         own = (x, gz, np.abs(slack_prev) <= p.act_band)
+        guess = None
+        if len(active) and not scenario.terminal_rows[active].any():
+            guess = scenario.row_shift[active]
+            guess = guess[guess >= 0]
         records.append(StepRecord(
             k, x.copy(), u, p.n_c if rows is None else len(rows),
             sol.iterations, wall, step_mode,
-            0.0 if rows is None else t1 - t0, t2 - t1))
+            0.0 if rows is None else t1 - t0, t2 - t1, path))
         x = scenario.A @ x + scenario.B @ u
     return ClosedLoopTrace(records, status="ok", meta=meta)
 
@@ -236,20 +260,23 @@ class OfflineDataset:
     terminal set to its nearest sample (exact cell bound for grids,
     sample-based estimate otherwise).
 
-    The sample parameters are kept column-major for nearest_index. One memo
-    slot holds the last problem the samples were checked against and each
-    sample's (x_hat, G z*, active mask) triple under it; the samples are
-    treated as immutable once the dataset is built.
+    The samples are held as a tuple, so the column-major copy of their
+    parameters that nearest_index searches, and the memo of their checks,
+    cannot drift from them. One memo slot holds the last problem the
+    samples were checked against and, for each sample under it, its
+    (x_hat, G z*, active mask) triple and whether its active rows are
+    independent (LICQ).
     """
 
-    samples: list
+    samples: tuple
     geometry: dict
     coverage: float
     coverage_is_estimate: bool
 
     def __post_init__(self):
+        self.samples = tuple(self.samples)
         self._points = np.asfortranarray([s.x_hat for s in self.samples])
-        self._checked = (None, None)    # (problem, triples by id(sample))
+        self._checked = (None, None)    # (problem, entries by id(sample))
 
     def nearest(self, x) -> SolvedSample:
         if not self.samples:
@@ -257,16 +284,18 @@ class OfflineDataset:
         return self.samples[nearest_index(self._points, x)]
 
     def triples(self, p: MpQp) -> dict:
-        """Each sample's (x_hat, G z*, active mask) triple under p, keyed by
-        id(sample), with G z* as check_sample returns it. The first call
-        with a problem (compared with `is`) runs check_sample on every
-        sample, so an inconsistent one raises ValueError there; later calls
-        return the memo. An empty dataset raises EmptyDataset."""
+        """Each sample's ((x_hat, G z*, active mask), LICQ) under p, keyed
+        by id(sample), with G z* as check_sample returns it and LICQ
+        p.licq_holds(active). The first call with a problem (compared with
+        `is`) runs check_sample on every sample, so an inconsistent one
+        raises ValueError there; later calls return the memo. An empty
+        dataset raises EmptyDataset."""
         if not self.samples:
             raise EmptyDataset("dataset has no samples")
         if self._checked[0] is not p:
             self._checked = (p, {
-                id(s): (s.x_hat, check_sample(p, s), s.active.to_mask(p.n_c))
+                id(s): ((s.x_hat, check_sample(p, s),
+                         s.active.to_mask(p.n_c)), p.licq_holds(s.active))
                 for s in self.samples})
         return self._checked[1]
 

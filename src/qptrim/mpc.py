@@ -139,6 +139,10 @@ class MpcScenario:
     XN: Polyhedron
     condensed: MpQp
     stripped_param_rows: Polyhedron | None
+    # condensed row r's row one stage earlier (row_shift[r], -1 for none),
+    # and a mask of the terminal block's rows; see condense
+    row_shift: np.ndarray
+    terminal_rows: np.ndarray
     name: str | None = None
 
     @property
@@ -173,6 +177,13 @@ def condense(A, B, Q, R, N, X, U, XN, P=None, name=None) -> MpcScenario:
     rows whose z-coefficients vanish (the t=0 state block) are stripped
     out and returned as a pure-parameter polyhedron to check directly.
     The parameter-only cost term is dropped; it cannot move the minimizer.
+
+    The scenario's row_shift maps each kept row of stage t >= 1 to the
+    same row of stage t-1, which is the row it becomes one step later
+    when the plan is shifted. It is built on the unstripped layout and
+    composed with the stripping: stage-0 rows, terminal rows and rows whose
+    target was stripped (the stage-1 state rows, for one) map to -1.
+    terminal_rows marks the terminal block.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -229,15 +240,28 @@ def condense(A, B, Q, R, N, X, U, XN, P=None, name=None) -> MpcScenario:
     G = np.vstack(g_rows)
     S = np.vstack(s_rows)
     w = np.concatenate(w_rows)
+    # one stage earlier on the unstripped layout: a stage's rows sit
+    # `stage` rows after the previous stage's
+    stage = X.n_rows + U.n_rows
+    target = np.arange(len(w)) - stage
+    target[:stage] = -1
+    terminal = np.arange(len(w)) >= N * stage
+    target[terminal] = -1
     zero = np.linalg.norm(G, axis=1) <= 1e-12
     stripped = None
     if zero.any():
         stripped = Polyhedron(-S[zero], w[zero])
         G, S, w = G[~zero], S[~zero], w[~zero]
+    # compose with the stripping: unstripped index -> kept index, or -1;
+    # the extra last entry sends target -1 to -1
+    kept_at = np.full(len(zero) + 1, -1)
+    kept_at[:-1][~zero] = np.arange(len(w))
+    row_shift = kept_at[target][~zero]
 
     condensed = MpQp(H=H, F=F, G=G, S=S, w=w, name=name)
     return MpcScenario(A=A, B=B, Q=Q, R=R, P=P, N=int(N), X=X, U=U, XN=XN,
                        condensed=condensed, stripped_param_rows=stripped,
+                       row_shift=row_shift, terminal_rows=terminal[~zero],
                        name=name)
 
 

@@ -33,8 +33,19 @@ W raises ArithmeticError, as the dual loop's last check required. The
 returned z minimizes over a row subset that holds its active rows and
 meets every solved row, so by KKT it is the minimizer over all of them;
 an infeasible subset makes the whole set infeasible.
-The solver reports no active set; solve_sample reads one from the slacks
-b - G z of its solve.
+
+The closed loop can also hand the solver a guess of W (Ferreau, Bock and
+Diehl 2008, IJRNC 18, warm-start the active set from the last solve).
+When z0 fails the first check, the solver runs the same re-solve on the
+guessed rows and returns its z only when KKT proves it: the Gram matrix
+factors, every multiplier is >= 0, every solved row holds to
+FEAS * (1 + max|b|), and so do the guessed rows as equalities, which a
+nearly dependent guess can miss through rounding. A right guess then
+settles the solve with one |W| x |W| solve and no nnls call, and its z is
+bitwise the one nnls's W would give when the two sets agree; a wrong
+guess costs that solve and falls through to nnls, so it changes nothing.
+The public solver takes no guess and reports no active set;
+solve_sample reads one from the slacks b - G z of its solve.
 """
 
 from dataclasses import dataclass
@@ -53,6 +64,9 @@ INFEASIBLE = "infeasible"
 # by its largest violation distance, so this reads a minimizer more than
 # 1e6 of those distances away as infeasible
 VANISHED = 1e-6
+# the active rows of a solve that ends at z0
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
 
 
 @dataclass
@@ -97,11 +111,24 @@ def qp_solve(
     return _solve(p, x, p.rhs(x), rows, max_iter)[0]
 
 
-def _solve(p: MpQp, x, b, rows, max_iter=None):
+def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
     """qp_solve at a finite x whose right-hand side S x + w is b, over the
-    0-based rows `rows` (None: all rows). Returns the solution and G z over
-    all rows of p (None when infeasible): closedloop.simulate hands in the
-    b it computed for its trim and reads its slacks b - G z from it."""
+    0-based rows `rows` (None: all rows), optionally with a guessed active
+    set: the 0-based rows `guess`, ascending, all of them in `rows`.
+
+    Returns (solution, G z over all rows of p, active rows W, path).
+    closedloop.simulate hands in the b it computed for its trim, reads its
+    slacks b - G z from G z and guesses its next solve's active set from
+    W. W holds the 0-based rows the minimizer was solved on: empty when
+    z0 passes the first check, None, as is G z, when infeasible. path
+    names the branch that settled the solve: "z0" at the first check,
+    "guess" when KKT proves the guess, "nnls" otherwise. The guess is
+    tried only after the first check fails. It is accepted only when its
+    Gram matrix factors, every multiplier is >= 0, every solved row holds
+    to FEAS * (1 + max|b|) and the guessed rows hold as equalities to the
+    same band; the minimizer is then bitwise the one the nnls branch would
+    form from the same rows. A wrong guess costs that one Gram solve and
+    changes nothing else."""
     z0 = -p.hi_ft @ x
     gz = p.G @ z0
     if rows is None:
@@ -111,7 +138,20 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
     feas_slack = FEAS * (1.0 + np.abs(b_rows).max(initial=0.0))
     n = len(h)
     if h.min(initial=0.0) >= -feas_slack:
-        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), gz
+        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), gz, _NO_ROWS, "z0"
+    if guess is not None and len(guess):
+        work = guess if rows is None else np.searchsorted(rows, guess)
+        try:
+            lam_w, z, gz, slack = _held(p, z0, h, b_rows, rows, work, guess)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # KKT: multipliers >= 0, every solved row met, the guessed
+            # rows met as equalities; the last fails where rounding in a
+            # nearly dependent guess moved z off its rows
+            if (lam_w.min() >= 0.0 and slack.min() >= -feas_slack
+                    and slack[work].max() <= feas_slack):
+                return _optimal(z, lam_w, n, work), gz, guess, "guess"
     # h over the largest violation distance max_i -h_i / ||E_i|| makes
     # ||y|| >= 1, whatever the scale of x, H, F or the rows; a violated
     # row with E_i = 0 leaves nothing to scale by and no point meets it
@@ -119,7 +159,7 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
     live = norms > 0.0
     scale = (-h[live] / norms[live]).max(initial=0.0)
     if scale <= 0.0:
-        return QpSolution(None, None, INFEASIBLE, 1), None
+        return QpSolution(None, None, INFEASIBLE, 1), None, None, "nnls"
     # nnls sees the rows whose boundary lies within `scale` of z0 in the
     # H-metric: every violated row and the satisfied rows nearest z0; a
     # zero row only when it is violated beyond feas_slack, as the first
@@ -139,13 +179,11 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
             raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
         work = cols[u.nonzero()[0]]
         if resid <= VANISHED:
-            return QpSolution(None, None, INFEASIBLE, 1 + len(work)), None
+            return (QpSolution(None, None, INFEASIBLE, 1 + len(work)), None,
+                    None, "nnls")
         held = work if rows is None else rows[work]
-        Yw = p.hi_gt[:, held]
-        lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
-        z = z0 - Yw @ lam_w
-        gz = p.G @ z
-        slack = b_rows - (gz if rows is None else gz[rows])
+        lam_w, z, gz, slack = _held(p, z0, h, b_rows, rows, work, held)
+        # W holds only to the rounding of the Gram solve
         slack[work] = 0.0
         violated = slack < -feas_slack
         if not violated.any():
@@ -154,9 +192,26 @@ def _solve(p: MpQp, x, b, rows, max_iter=None):
             raise ArithmeticError(
                 "nnls's active rows leave a solved row violated")
         seen |= violated
+    return _optimal(z, lam_w, n, work), gz, held, "nnls"
+
+
+def _held(p: MpQp, z0, h, b_rows, rows, work, held):
+    """The minimizer with the solved rows at positions `work` (0-based rows
+    `held` of p) held as equalities: (G_W H^-1 G_W') lam_W = G_W z0 - b_W
+    and z = z0 - H^-1 G_W' lam_W. Returns lam_W, z, G z over all rows and
+    the solved rows' slacks b - G z. A singular Gram matrix raises
+    numpy.linalg.LinAlgError."""
+    Yw = p.hi_gt[:, held]
+    lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
+    z = z0 - Yw @ lam_w
+    gz = p.G @ z
+    return lam_w, z, gz, b_rows - (gz if rows is None else gz[rows])
+
+
+def _optimal(z, lam_w, n, work) -> QpSolution:
     lam = np.zeros(n)
     lam[work] = np.maximum(lam_w, 0.0)
-    return QpSolution(z, lam, OPTIMAL, 1 + len(work)), gz
+    return QpSolution(z, lam, OPTIMAL, 1 + len(work))
 
 
 def _sample(p: MpQp, x) -> SolvedSample | None:
@@ -164,7 +219,7 @@ def _sample(p: MpQp, x) -> SolvedSample | None:
     Its active set reads the slacks b - G z off the solve's own G z, which
     is bitwise p.active_set(x, z)."""
     b = p.rhs(x)
-    sol, gz = _solve(p, x, b, None)
+    sol, gz = _solve(p, x, b, None)[:2]
     if not sol.is_optimal:
         return None
     return SolvedSample(x, sol.z_star,

@@ -30,7 +30,7 @@ from qptrim.mpc import condense, scenario_from_dict, terminal_ingredients
 from qptrim.mpqp import MpQp, SolvedSample
 from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import box
-from qptrim.qpsolver import qp_solve
+from qptrim.qpsolver import qp_solve, solve_sample
 from qptrim.trim import LicqViolation, trim_multi, trim_single
 
 
@@ -126,7 +126,8 @@ class TestSimulateBasics:
         rec = json.loads(lines[2])
         assert rec["k"] == 2
         assert set(rec) == {"k", "x", "u", "kept_count", "iterations",
-                            "wall_time", "mode", "t_trim", "t_solve"}
+                            "wall_time", "mode", "t_trim", "t_solve", "path"}
+        assert rec["path"] == trace.records[2].path
         assert np.allclose(rec["x"], trace.records[2].x)
 
 
@@ -405,6 +406,45 @@ class TestOfflineDataset:
         simulate(copy, x0, 20, mode="offline-nearest", offline=ds)
         assert sorted(checked) == sorted(2 * once)
 
+    def test_samples_cannot_change_after_the_build(self):
+        # the searched points and the memo of checks are built from the
+        # samples, so a sample inserted later would never be found and
+        # the later samples' indices would no longer match their points
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=3))
+        listed = list(build_offline_dataset(sc, spacing=0.5).samples)
+        ds = closedloop.OfflineDataset(listed, {"kind": "centers"}, 1.0, True)
+        assert len(ds.samples) == 65
+        x = [0.05, 0.05]
+        before = ds.nearest(x)
+        s = solve_sample(sc.condensed, x)
+        with pytest.raises(AttributeError):
+            ds.samples.insert(0, s)
+        with pytest.raises(TypeError):
+            ds.samples[0] = s
+        listed.insert(0, s)
+        assert len(ds.samples) == 65
+        assert ds.nearest(x) is before
+
+    def test_hybrid_reads_offline_licq_from_the_memo(self, monkeypatch):
+        sc = di_scenario()
+        grid = offline_datasets()["grid"]
+        ds = closedloop.OfflineDataset(grid.samples, grid.geometry,
+                                       grid.coverage, False)
+        calls = []
+        real = MpQp.licq_holds
+        monkeypatch.setattr(MpQp, "licq_holds",
+                            lambda p, active: calls.append(active)
+                            or real(p, active))
+        x0 = boundary_point(sc.XN, [-1.0, 0.3])
+        first = simulate(sc, x0, 20, mode="hybrid", offline=ds)
+        assert len(calls) == len(ds.samples) + 19
+        # once the memo holds every sample's LICQ, a step tests only the
+        # loop's own active rows
+        calls.clear()
+        again = simulate(sc, x0, 20, mode="hybrid", offline=ds)
+        assert len(calls) == 19
+        assert np.array_equal(again.inputs(), first.inputs())
+
     @pytest.mark.parametrize("mode", ["offline-nearest", "hybrid"])
     def test_bad_dataset_rejected_before_step_0(self, monkeypatch, mode):
         sc = di_scenario()
@@ -550,6 +590,7 @@ class TestEstimateDecay:
 
     def test_works_on_trace_object(self):
         recs = [StepRecord(k, (0.7 ** k) * np.ones(2), np.zeros(1),
-                           0, 1, 0.0, "full", 0.0, 0.0) for k in range(10)]
+                           0, 1, 0.0, "full", 0.0, 0.0, "z0")
+                for k in range(10)]
         c, beta = estimate_decay(ClosedLoopTrace(recs))
         assert abs(beta - 0.7) < 1e-6

@@ -15,6 +15,7 @@ from qptrim.mpc import (
     scenario_from_dict,
     terminal_ingredients,
 )
+from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import Polyhedron, box
 
 
@@ -300,6 +301,65 @@ class TestCondense:
             condense([[1.0]], [[1.0]], [[1.0]], [[1.0]], 1,
                      X=box(5.0, dim=1), U=box(1.0, dim=1),
                      XN=box(5.0, dim=1), P=[[-10.0]])
+
+
+def shifted_rows(sc):
+    """(rows, their targets) of sc.row_shift, checked against the condensed
+    data: a row one stage earlier carries the same z-coefficients moved
+    one input to the left and the same w, and row r at x is row r' at the
+    next state A x + B u_0: S_r' A = S_r and S_r' B = -G_r[:m]."""
+    p, m = sc.condensed, sc.m
+    assert sc.row_shift.shape == sc.terminal_rows.shape == (p.n_c,)
+    rows = np.flatnonzero(sc.row_shift >= 0)
+    dst = sc.row_shift[rows]
+    # ascending, so a sorted active set maps to a sorted guess
+    assert (np.diff(dst) > 0).all()
+    assert (sc.row_shift[sc.terminal_rows] == -1).all()
+    assert not sc.terminal_rows[dst].any()
+    assert np.array_equal(p.G[dst, :-m], p.G[rows, m:])
+    assert np.array_equal(p.w[dst], p.w[rows])
+    tol = 1e-12 * (1.0 + np.abs(p.S).max() + np.abs(p.G).max())
+    assert np.abs(p.S[dst] @ sc.A - p.S[rows]).max(initial=0.0) <= tol
+    assert np.abs(p.S[dst] @ sc.B + p.G[rows, :m]).max(initial=0.0) <= tol
+    return rows, dst
+
+
+class TestRowShift:
+    @pytest.mark.parametrize("make", [
+        lambda: gen_oscillating_masses(3, h=0.5, N=10),
+        lambda: gen_double_integrator(h=0.5, N=10),
+    ], ids=["masses3", "double-integrator"])
+    def test_plants(self, make):
+        sc = scenario_from_dict(make())
+        rows, _ = shifted_rows(sc)
+        n_x, n_u = sc.X.n_rows, sc.U.n_rows
+        # only the t=0 state rows are stripped: the stage-0 input rows, the
+        # stage-1 state rows (their targets are stripped) and the terminal
+        # rows have no target, every later state and input row has one
+        assert sc.stripped_param_rows.n_rows == n_x
+        assert sc.terminal_rows.sum() == sc.XN.n_rows
+        assert np.array_equal(np.flatnonzero(sc.terminal_rows),
+                              np.arange(sc.condensed.n_c - sc.XN.n_rows,
+                                        sc.condensed.n_c))
+        assert np.array_equal(
+            rows, np.arange(n_u + n_x, sc.condensed.n_c - sc.XN.n_rows))
+
+    def test_rows_stripped_beyond_stage_0(self):
+        # with B = [0; 1] the x_1[0] rows are stripped as well, so the
+        # x_2[0] rows, which u_0 reaches through A, lose their target
+        A = np.array([[1.0, 0.3], [0.0, 0.8]])
+        B = np.array([[0.0], [1.0]])
+        X, U = box(4.0, dim=2), box(1.0, dim=1)
+        sc = condense(A, B, np.eye(2), np.eye(1), 3, X, U, box(2.0, dim=2))
+        assert sc.stripped_param_rows.n_rows == 6
+        rows, dst = shifted_rows(sc)
+        # kept rows: u_0 (0-1), x_1[1] (2-3), u_1 (4-5), x_2 (6-9, box
+        # order: x_2[0], x_2[1], -x_2[0], -x_2[1]), u_2 (10-11), terminal
+        # (12-15)
+        assert sc.condensed.n_c == 16
+        assert rows.tolist() == [4, 5, 7, 9, 10, 11]
+        assert dst.tolist() == [0, 1, 2, 3, 4, 5]
+        assert np.flatnonzero(sc.terminal_rows).tolist() == [12, 13, 14, 15]
 
 
 class TestTerminalIngredients:

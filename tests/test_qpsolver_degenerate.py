@@ -235,9 +235,9 @@ def test_loop_solves_add_the_rows_nnls_missed(monkeypatch):
     solves = []
     real = closedloop._solve
 
-    def spy(p, x, b, rows, max_iter=None):
+    def spy(p, x, b, rows, max_iter=None, guess=None):
         first = len(seen)
-        out = real(p, x, b, rows, max_iter)
+        out = real(p, x, b, rows, max_iter, guess)
         n = p.n_c if rows is None else len(rows)
         solves.append((p, x.copy(), rows, n, seen[first:]))
         return out
