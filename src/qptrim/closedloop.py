@@ -133,10 +133,15 @@ def simulate(
     certified constant where its enumeration is affordable. A NaN,
     infinite or negative kappa raises ValueError before step 0.
 
-    Each step computes b = S x + w once, before its trim, and hands the
-    same b to the solve, which hands back G z over all rows. Their
-    difference is the full rows' slack vector, from which the step reads
-    its active set. A trimmed step hands b and one (x_hat, G z*, active
+    A trimmed step computes b = S x + w once, before its trim, and hands
+    the same b to the solve; a full step hands none, so a solve that ends
+    at z0 forms neither b nor G z0 (see qpsolver). In adaptive-online and
+    hybrid, the modes that trim against the loop's own sample, each step
+    then keeps b - G z, the full rows' slack vector, and reads its active
+    set from it. G z comes back from the solve, or, where the solve ended
+    at z0 without it, is formed as p.G @ z after the input is out, bitwise
+    the same; b is formed there too on the full step 0. The other modes
+    keep neither. A trimmed step hands b and one (x_hat, G z*, active
     mask) triple per sample to the removal fold trim._kept_mask, which
     tests every row against b - G z*, bitwise the values p.slacks(x', z*)
     gives. The loop's own triple is kept from its last step and not
@@ -193,6 +198,8 @@ def simulate(
         )
 
     feas_floor = -p.feas_band
+    # the modes that trim against the loop's own last sample
+    keeps_own = mode in ("adaptive-online", "hybrid")
     own = slack_prev = None   # last step's (x, G z, active mask), its slack
     guess = None              # last solve's active rows, one stage earlier
     for k in range(steps):
@@ -202,11 +209,11 @@ def simulate(
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
         step_mode = "full" if k == 0 else mode
-        b = p.rhs(x)
-        rows = None
+        b = rows = None
         if step_mode != "full":
+            b = p.rhs(x)
             samples = []
-            if mode != "offline-nearest":
+            if keeps_own:
                 # the loop's own sample: its active set holds by
                 # construction; only its feasibility is left to check
                 if (slack_prev < feas_floor).any():
@@ -235,10 +242,16 @@ def simulate(
             fail(k, f"QP solve returned {sol.status}")
         u = sol.z_star[:m].copy()
         wall = time.perf_counter() - t0
-        # the full rows' slacks and active set, for the next step's trim;
-        # trimming keeps the minimizer, so re-reading activity is exact
-        slack_prev = b - gz
-        own = (x, gz, np.abs(slack_prev) <= p.act_band)
+        if keeps_own:
+            # the full rows' slacks and active set, for the next step's
+            # trim; trimming keeps the minimizer, so re-reading activity
+            # is exact
+            if b is None:
+                b = p.rhs(x)
+            if gz is None:
+                gz = p.G @ sol.z_star
+            slack_prev = b - gz
+            own = (x, gz, np.abs(slack_prev) <= p.act_band)
         guess = None
         if len(active) and not scenario.terminal_rows[active].any():
             guess = scenario.row_shift[active]

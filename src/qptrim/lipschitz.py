@@ -95,7 +95,7 @@ def glc_estimate(p: MpQp) -> GlcReport:
         )
     term_u = spectral_norm(p.hi_ft)
     n_hg = spectral_norm(p.hi_gt)
-    n_sp = spectral_norm(p.S + p.G @ p.hi_ft)
+    n_sp = spectral_norm(p.slack_map)
     kappa = term_u if not quads.size else term_u + n_hg * n_sp / min_quad
     return GlcReport(
         kappa=float(kappa),
@@ -215,7 +215,7 @@ def _steepest_piece(p: MpQp, floor: float):
     realizable one is the answer. Excess at rounding level over floor is
     not counted as a steeper piece.
     """
-    p_rows = p.S + p.G @ p.hi_ft
+    p_rows = p.slack_map
     floor = floor * (1.0 + 1e-12)
     cond_h = np.linalg.cond(p.H)
     candidates = []

@@ -193,6 +193,12 @@ class MpQp:
         return self.h_solve(self.F.T)
 
     @cached_property
+    def slack_map(self) -> np.ndarray:
+        """S + G H^-1 F' (n_c x n_x): b - G z0 = slack_map @ x + w at the
+        unconstrained minimizer z0 = -H^-1 F' x."""
+        return self.S + self.G @ self.hi_ft
+
+    @cached_property
     def g_quads(self) -> np.ndarray:
         """Per-row curvature G_j H^-1 G_j'."""
         return np.einsum("ij,ji->i", self.G, self.hi_gt)

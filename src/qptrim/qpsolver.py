@@ -11,8 +11,17 @@ ch. 23) solve it by one nonnegative least-squares problem,
 
 which scipy.optimize.nnls runs compiled; Bemporad (2016, IEEE TAC 61(4))
 applies the reduction to embedded MPC. When z0 already satisfies every
-solved row, no nnls problem is formed. Otherwise the solver divides h by
-its largest violation distance s = max_i -h_i / ||E_i||, so that
+solved row, no nnls problem is formed. The first check reads that from
+one cached product, b - G z0 = (S + G H^-1 F') x + w (MpQp.slack_map),
+and returns z0 when no solved row has a negative slack there, forming
+neither b = S x + w nor G z0. A state it passes over pays for both: the
+solver forms h = b - G z0 from them and allows every row a violation of
+FEAS * (1 + max|b|) before it calls z0 infeasible. The two slacks differ
+by rounding of order eps (|S x| + |w| + |G z0|), at most 5.3e-15 on the
+loop golden's MPC problems against a band of at least FEAS, so the
+strict check settles no state that the band check would not, and every
+later branch sees the same h as without it. Otherwise the solver divides
+h by its largest violation distance s = max_i -h_i / ||E_i||, so that
 ||y|| >= 1 at any scale of x, H, F or the rows. The residual norm is then
 1 / sqrt(1 + ||y||^2) when the rows are feasible and vanishes when they
 are not.
@@ -108,28 +117,41 @@ def qp_solve(
     """
     x = finite_parameter(x)
     rows = None if idx is None else idx.zero_based()
-    return _solve(p, x, p.rhs(x), rows, max_iter)[0]
+    return _solve(p, x, None, rows, max_iter)[0]
 
 
 def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
-    """qp_solve at a finite x whose right-hand side S x + w is b, over the
-    0-based rows `rows` (None: all rows), optionally with a guessed active
-    set: the 0-based rows `guess`, ascending, all of them in `rows`.
+    """qp_solve at a finite x whose right-hand side S x + w is b (None:
+    formed here when needed), over the 0-based rows `rows` (None: all
+    rows), optionally with a guessed active set: the 0-based rows `guess`,
+    ascending, all of them in `rows`.
 
     Returns (solution, G z over all rows of p, active rows W, path).
     closedloop.simulate hands in the b it computed for its trim, reads its
     slacks b - G z from G z and guesses its next solve's active set from
     W. W holds the 0-based rows the minimizer was solved on: empty when
-    z0 passes the first check, None, as is G z, when infeasible. path
-    names the branch that settled the solve: "z0" at the first check,
-    "guess" when KKT proves the guess, "nnls" otherwise. The guess is
-    tried only after the first check fails. It is accepted only when its
-    Gram matrix factors, every multiplier is >= 0, every solved row holds
-    to FEAS * (1 + max|b|) and the guessed rows hold as equalities to the
-    same band; the minimizer is then bitwise the one the nnls branch would
-    form from the same rows. A wrong guess costs that one Gram solve and
-    changes nothing else."""
+    z0 passes the first check, None, as is G z, when infeasible. G z is
+    None on the "z0" path too when no solved row has a negative fused
+    slack slack_map @ x + w: z0 is then returned without forming b or
+    G z0, and a caller that needs G z forms p.G @ z, bitwise the G z0
+    the band check would have formed. path names the branch that settled
+    the solve: "z0" at the first check (the fused slack, then b - G z0 to
+    the band FEAS * (1 + max|b|)), "guess" when KKT proves the guess,
+    "nnls" otherwise. The guess is tried only after the first check
+    fails. It is accepted only when its Gram matrix factors, every
+    multiplier is >= 0, every solved row holds to FEAS * (1 + max|b|) and
+    the guessed rows hold as equalities to the same band; the minimizer is
+    then bitwise the one the nnls branch would form from the same rows. A
+    wrong guess costs that one Gram solve and changes nothing else."""
     z0 = -p.hi_ft @ x
+    # b - G z0 in one product, checked strictly, so it settles only states
+    # that the band test on b - G z0 below would settle too
+    fused = p.slack_map @ x + p.w
+    if (fused if rows is None else fused[rows]).min(initial=0.0) >= 0.0:
+        n = p.n_c if rows is None else len(rows)
+        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), None, _NO_ROWS, "z0"
+    if b is None:
+        b = p.rhs(x)
     gz = p.G @ z0
     if rows is None:
         h, b_rows = b - gz, b
@@ -216,12 +238,15 @@ def _optimal(z, lam_w, n, work) -> QpSolution:
 
 def _sample(p: MpQp, x) -> SolvedSample | None:
     """The full solve at a finite x as a sample, or None when infeasible.
-    Its active set reads the slacks b - G z off the solve's own G z, which
-    is bitwise p.active_set(x, z)."""
+    Its active set reads the slacks b - G z off the solve's own G z, or
+    off p.G @ z when the solve returned none, which is bitwise
+    p.active_set(x, z)."""
     b = p.rhs(x)
     sol, gz = _solve(p, x, b, None)[:2]
     if not sol.is_optimal:
         return None
+    if gz is None:
+        gz = p.G @ sol.z_star
     return SolvedSample(x, sol.z_star,
                         IndexSet.from_mask(np.abs(b - gz) <= p.act_band))
 
