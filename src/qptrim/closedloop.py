@@ -339,8 +339,8 @@ def build_offline_dataset(scenario, spacing: float | None = None,
     n = region.dim
 
     if spacing is not None:
-        if spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        if not 0.0 < spacing < math.inf:     # NaN fails both comparisons
+            raise ValueError(f"spacing must be finite and positive, got {spacing}")
         anchor = 0.5 * (bb[:, 0] + bb[:, 1])
         axes = []
         for i in range(n):
@@ -411,14 +411,16 @@ def horizon_bounds(
       K_i   steps until the kept count is at most n_z + i,
       K_hat = max(K1_hat, K2_hat), steps until it reaches zero.
     All three are the printed ceiling formulas, clamped at 0; a zero sigma
-    entry yields an infinite K_i.
+    entry yields an infinite K_i. A NaN or infinite c, x0_norm or kappa
+    raises ValueError naming it.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    if x0_norm < 0.0 or kappa < 0.0:
-        raise ValueError("x0_norm and kappa must be nonnegative")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be finite and positive, got {c}")
+    if not 0.0 <= x0_norm < math.inf:
+        raise ValueError(f"x0_norm must be finite and nonnegative, got {x0_norm}")
+    check_kappa(kappa)
     if np.any(p.w <= 0.0):
         j = int(np.flatnonzero(p.w <= 0.0)[0]) + 1
         raise OriginNotInterior(
@@ -461,13 +463,17 @@ def estimate_decay(trace) -> tuple:
 
     beta comes from a least-squares line through log ||x_k||; c is then
     inflated so the envelope majorizes every sample. A state that hits
-    exactly zero ends the fit window; before step 5 that is an error.
+    exactly zero ends the fit window; before step 5 that is an error. A
+    state with a NaN or infinite entry raises ValueError naming its step.
     """
     if isinstance(trace, ClosedLoopTrace):
         states = trace.states()
     else:
         states = np.atleast_2d(np.asarray(trace, dtype=float))
     norms = np.linalg.norm(states, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"state at step {int(bad[0])} is not finite")
     if len(norms) < 5:
         raise ValueError(f"need at least 5 steps, got {len(norms)}")
     if norms[0] == 0.0:

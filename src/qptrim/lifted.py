@@ -22,6 +22,7 @@ from .milp import milp_solve
 from .mpqp import MpQp, SolvedSample
 from .simplex import INFEASIBLE, OPTIMAL, lp_solve
 from .tolerances import FEAS
+from .trim import check_kappa
 
 
 class NotInPolyhedron(Exception):
@@ -188,10 +189,9 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
     Encodes "at least i+1 distances do not exceed r" with one binary per
     row exempting it from the bound, a budget of n_c-i-1 exemptions, and a
     big-M wide enough to deactivate any row (`LiftedPolyhedron.big_m`).
-    A sampled upper bound seeds the search's incumbent. Strict inequalities
-    in the encoding are relaxed to non-strict, which leaves the infimum
-    unchanged. For i >= n_c the box diagonal is returned, as by
-    sigma_sample.
+    Strict inequalities in the encoding are relaxed to non-strict, which
+    leaves the infimum unchanged. For i >= n_c the box diagonal is
+    returned, as by sigma_sample.
     """
     _require_box(L)
     if i < 1:
@@ -224,17 +224,12 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
     cost = np.zeros(n)
     cost[n_v] = 1.0
     bounds = [tuple(row) for row in L.box] + [(0.0, m)] + [(0.0, 1.0)] * n_c
-    try:
-        incumbent = sigma_sample(L, i, n_samples=256, seed=0)
-    except NoFeasibleSamples:
-        incumbent = None
     res = milp_solve(
         cost,
         np.vstack(rows),
         np.concatenate(rhs),
         bounds,
         integer=range(n_v + 1, n),
-        incumbent=incumbent,
     )
     if not res.is_optimal:
         raise UnboundedLift(f"threshold search returned {res.status}")
@@ -300,7 +295,12 @@ def sigma_table(
 
 def theorem3_bound(kappa: float, table: SigmaTable, dist: float, n_z: int):
     """Predicted cap n_z + i on the kept-set size, from the smallest i whose
-    threshold covers the lifted ball; None when no table entry qualifies."""
+    threshold covers the lifted ball; None when no table entry qualifies.
+    A NaN, infinite or negative kappa, or a NaN or negative dist, raises
+    ValueError."""
+    check_kappa(kappa)
+    if not dist >= 0.0:     # NaN fails the comparison
+        raise ValueError(f"dist must be nonnegative, got {dist}")
     scale = float(np.sqrt(1.0 + float(kappa) ** 2))
     for i in sorted(table.sigma):
         if dist <= table.sigma[i] / scale:

@@ -7,7 +7,10 @@ deterministic.
 
 Among nodes with equal bounds the most recently pushed pops first, so a
 search whose nodes all share one bound (every sigma_i = 0 problem) dives to
-an integral leaf instead of sweeping the tree breadth first.
+an integral leaf instead of sweeping the tree breadth first. The search
+starts with no incumbent: in best-first order the bound alone decides which
+nodes pop, so a seeded upper bound would only keep off the heap children
+that never pop.
 
 Only the root relaxation is a cold two-phase `lp_solve`. A child differs
 from its parent by one bound, so the parent's optimal basis stays dual
@@ -54,18 +57,16 @@ def milp_solve(
     d=None,
     bounds=None,
     integer=(),
-    incumbent=None,
     node_limit: int = 1_000_000,
 ) -> MilpResult:
     """Minimize cost@x subject to C@x <= d and bounds, with x[j] integral
     for every j in `integer`.
 
     Best-first on the relaxation bound, depth first among equal bounds;
-    branches on the most fractional integer variable. `incumbent` may seed
-    the upper bound with the objective of a feasible integral point known to
-    the caller; if nothing better is found, the result carries that
-    objective with x=None. Nodes that cannot improve the incumbent by more
-    than 1e-9 are pruned.
+    branches on the most fractional integer variable. Nodes that cannot
+    improve the best integral point found by more than 1e-9 are pruned. An
+    OPTIMAL result always carries that point, with its integer entries
+    rounded exactly.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.size
@@ -107,7 +108,7 @@ def milp_solve(
     if root.status != OPTIMAL:
         return MilpResult(INFEASIBLE, None, None, nodes)
 
-    best_val = math.inf if incumbent is None else float(incumbent)
+    best_val = math.inf
     best_x = None
     tick = itertools.count()
     heap = [(root.objective, -next(tick), root, lo, hi)]
@@ -139,6 +140,6 @@ def milp_solve(
             if sub.status == OPTIMAL and sub.objective < best_val - 1e-9:
                 heapq.heappush(heap, (sub.objective, -next(tick), sub, lo_c, hi_c))
 
-    if best_x is None and incumbent is None:
+    if best_x is None:
         return MilpResult(INFEASIBLE, None, None, nodes)
     return MilpResult(OPTIMAL, best_x, best_val, nodes)

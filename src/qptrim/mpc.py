@@ -75,13 +75,6 @@ def dare(A, B, Q, R, max_iter: int = 100_000) -> np.ndarray:
     )
 
 
-def dare_residual(A, B, Q, R, P) -> float:
-    BtP = np.atleast_2d(B).T @ P
-    gain = np.linalg.solve(R + BtP @ np.atleast_2d(B), BtP @ np.atleast_2d(A))
-    A2 = np.atleast_2d(A)
-    return float(np.abs(A2.T @ P @ A2 - A2.T @ P @ np.atleast_2d(B) @ gain + Q - P).max())
-
-
 def lqr_gain(A, B, R, P) -> np.ndarray:
     """Infinite-horizon feedback u = Kx for the cost solved by P."""
     A = np.atleast_2d(np.asarray(A, dtype=float))

@@ -33,10 +33,6 @@ class Polyhedron:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(np.all(self.C @ x <= self.d + tol * (1.0 + np.abs(self.d))))
 
-    def violations(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.C @ x - self.d
-
     def is_empty(self) -> bool:
         res = lp_solve(np.zeros(self.dim), self.C, self.d)
         return res.status == INFEASIBLE

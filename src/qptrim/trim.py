@@ -9,14 +9,16 @@ further, but is only safe when active gradients are independent everywhere
 (the two-halfplanes example shows what goes wrong otherwise), so the
 multi-sample path is gated behind an explicit caller assertion.
 
-Every caller reaches the test through one fold, _kept_mask: trim_single,
-trim_multi and closedloop.simulate hand it the right-hand side S x + w at
-x and one (x_hat, G z*, active mask) triple per sample. A given sample is
-validated by check_sample, which computes its slack once and returns its
-G z*. The closed loop checks every offline sample this way once per
-dataset and problem, before its first step, and skips the check for the
-sample it solved itself. nearest_index, which picks the offline sample,
-sums squared distances one coordinate at a time.
+Every caller reaches the test through one fold, _kept_mask, which takes
+the right-hand side S x + w at x and one (x_hat, G z*, active mask) triple
+per sample. trim_multi is the one body that builds those triples: it
+validates each sample with check_sample, which computes the sample's slack
+once and returns its G z*, and tests LICQ only when two or more samples
+fold. trim_single is its one-sample call. closedloop.simulate calls the
+fold directly: it checks every offline sample once per dataset and
+problem, before its first step, and skips the check for the sample it
+solved itself. nearest_index, which picks the offline sample, sums squared
+distances one coordinate at a time.
 """
 
 import json
@@ -113,17 +115,7 @@ def _kept_mask(p: MpQp, kappa: float, x, b, samples) -> np.ndarray:
 def trim_single(p: MpQp, kappa: float, sample: SolvedSample, x) -> TrimOutcome:
     """Safe index set from one solved sample: active rows plus every inactive
     row that fails the removal test."""
-    check_kappa(kappa)
-    x = finite_parameter(x)
-    gz = check_sample(p, sample)
-    keep = _kept_mask(p, kappa, x, p.rhs(x),
-                      [(sample.x_hat, gz, sample.active.to_mask(p.n_c))])
-    return TrimOutcome(
-        kept=IndexSet.from_mask(keep),
-        removed=IndexSet.from_mask(~keep),
-        radius=_ball_radius(kappa, sample.x_hat, x),
-        samples_used=1,
-    )
+    return trim_multi(p, kappa, [sample], x)
 
 
 def nearest_index(points, x) -> int:
@@ -158,10 +150,12 @@ def trim_multi(
 ) -> TrimOutcome:
     """Sequential fold over several solved samples.
 
-    Each pass keeps the sample's active rows (within the current set) plus
-    the inactive rows it cannot certify as redundant. With zero samples
-    every row is kept; with one sample, or without assume_licq, this
-    reduces to trim_single on the nearest sample.
+    Each sample keeps its active rows plus the inactive rows it cannot
+    certify as redundant, and a row stays only when every sample keeps it.
+    With zero samples every row is kept. Without assume_licq only the
+    sample nearest to x folds. Two or more samples fold only when each
+    one's active rows are independent (LicqViolation otherwise). The
+    radius is that of the last sample folded.
     """
     check_kappa(kappa)
     x = finite_parameter(x)
@@ -170,17 +164,14 @@ def trim_multi(
         return TrimOutcome(
             kept=IndexSet.full(p.n_c), removed=IndexSet(), radius=0.0, samples_used=0
         )
-    if len(samples) == 1:
-        return trim_single(p, kappa, samples[0], x)
-    if not assume_licq:
+    if len(samples) > 1 and not assume_licq:
         # Folding is only proven safe under a family-wide independence
         # assumption the code cannot check, so default to the nearest sample.
-        near = nearest_index(np.array([s.x_hat for s in samples]), x)
-        return trim_single(p, kappa, samples[near], x)
+        samples = [samples[nearest_index(np.array([s.x_hat for s in samples]), x)]]
     triples = []
     for k, s in enumerate(samples):
         gz = check_sample(p, s)
-        if not p.licq_holds(s.active):
+        if len(samples) > 1 and not p.licq_holds(s.active):
             raise LicqViolation(
                 f"sample {k} (x_hat={np.atleast_1d(s.x_hat).tolist()}) has "
                 f"linearly dependent active rows {list(s.active.indices)}"
@@ -193,30 +184,3 @@ def trim_multi(
         radius=_ball_radius(kappa, samples[-1].x_hat, x),
         samples_used=len(samples),
     )
-
-
-def certify(
-    p: MpQp, kappa: float, sample: SolvedSample, x, outcome: TrimOutcome
-) -> bool:
-    """Re-verify every removed row from scratch.
-
-    Checks, per removed row j: the row was strictly inactive at the sample
-    (the test's precondition), the ball center satisfies the row at x, and
-    the boundary distance covers the ball radius. The distance check is
-    written as slack >= radius*||G_j|| to stay division-free. Recomputes
-    slacks rather than trusting the sample's stored active set.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    slack_here = p.slacks(x, sample.z_star)
-    slack_at_sample = p.slacks(sample.x_hat, sample.z_star)
-    radius = _ball_radius(kappa, sample.x_hat, x)
-    ok = True
-    for j in outcome.removed:
-        s_j = slack_here[j - 1]
-        ok = (
-            ok
-            and slack_at_sample[j - 1] > p.act_band[j - 1]
-            and s_j >= 0.0
-            and s_j >= radius * p.g_row_norms[j - 1]
-        )
-    return bool(ok)

@@ -3,7 +3,8 @@
 These deliberately share no code with the package solvers: the QP oracle
 enumerates candidate active subsets and solves bordered KKT systems directly.
 The reference dual loop shares only the solver's status names and FEAS.
-The reference piece search shares only the realizability LP.
+The reference piece search shares only the realizability LP. The trim
+certificate and the Riccati residual recompute from the problem data alone.
 """
 
 import itertools
@@ -173,3 +174,27 @@ def reference_steepest_piece(p, floor, chunk=20_000):
         if _realizable(p, p_rows, rows):
             return float(slope), [int(r) + 1 for r in rows]
     return None
+
+
+def reference_certify(p, kappa, sample, x, outcome):
+    """True when every row the outcome removed is provably redundant at x,
+    recomputed from scratch: the row was strictly inactive at the sample,
+    and its slack at x under z_star is nonnegative and covers the ball
+    radius kappa*||x - x_hat|| times ||G_j|| (division-free). Trusts
+    neither the sample's stored active set nor the trimmer's fold."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x_hat = np.atleast_1d(np.asarray(sample.x_hat, dtype=float))
+    radius = float(kappa) * float(np.linalg.norm(x - x_hat))
+    j = outcome.removed.zero_based()
+    here = p.slacks(x, sample.z_star)[j]
+    at_sample = p.slacks(x_hat, sample.z_star)[j]
+    return bool(np.all(at_sample > p.act_band[j]) and np.all(here >= 0.0)
+                and np.all(here >= radius * p.g_row_norms[j]))
+
+
+def dare_residual(A, B, Q, R, P):
+    """Largest entry of A'PA - A'PB (R + B'PB)^-1 B'PA + Q - P."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    BtP = B.T @ P
+    gain = np.linalg.solve(R + BtP @ B, BtP @ A)
+    return float(np.abs(A.T @ P @ A - A.T @ P @ B @ gain + Q - P).max())

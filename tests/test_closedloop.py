@@ -384,6 +384,11 @@ class TestOfflineDataset:
         with pytest.raises(ValueError):
             build_offline_dataset(sc, spacing=-1.0)
 
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf])
+    def test_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be finite"):
+            build_offline_dataset(di_scenario(), spacing=spacing)
+
     def test_samples_checked_once_per_dataset_and_problem(self, monkeypatch):
         sc = di_scenario()
         grid = offline_datasets()["grid"]
@@ -544,6 +549,16 @@ class TestHorizonBoundFormulas:
             with pytest.raises(ValueError):
                 horizon_bounds(c, beta, 1.0, 1.0, p, table)
 
+    @pytest.mark.parametrize("name", ["c", "x0_norm", "kappa"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_argument_named(self, name, value):
+        p = synthetic_single_row()
+        table = SigmaTable(sigma={1: 1.0}, method="milp", r_max=1.0)
+        args = {"c": 1.0, "x0_norm": 1.0, "kappa": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            horizon_bounds(args["c"], 0.5, args["x0_norm"], args["kappa"],
+                           p, table)
+
 
 class TestEstimateDecay:
     def test_exact_geometric(self):
@@ -580,6 +595,13 @@ class TestEstimateDecay:
         states = np.ones((10, 1))
         states[3] = 0.0
         with pytest.raises(DegenerateTrace):
+            estimate_decay(states)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state_named(self, value):
+        states = [(0.5 ** k) * np.ones(2) for k in range(10)]
+        states[6][1] = value
+        with pytest.raises(ValueError, match="step 6"):
             estimate_decay(states)
 
     def test_late_zero_truncates(self):

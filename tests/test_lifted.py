@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -276,6 +277,18 @@ class TestTheorem3Bound:
         kappa = 1.0
         dist = 0.5  # needs sigma >= dist*sqrt(2) ~ 0.707 -> i=2
         assert theorem3_bound(kappa, t, dist, n_z=1) == 3
+
+    @pytest.mark.parametrize("kappa, dist, name", [
+        (math.nan, 0.1, "kappa"),
+        (-1.0, 0.1, "kappa"),
+        (math.inf, 0.1, "kappa"),
+        (1.0, math.nan, "dist"),
+        (1.0, -0.1, "dist"),
+    ])
+    def test_bad_kappa_or_dist_rejected(self, kappa, dist, name):
+        t = SigmaTable(sigma={1: 0.0, 2: 0.5}, method="milp", r_max=5.0)
+        with pytest.raises(ValueError, match=name):
+            theorem3_bound(kappa, t, dist, n_z=3)
 
 
 class TestCoverageProperties:

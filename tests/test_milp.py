@@ -77,6 +77,7 @@ def test_random_binary_problems_match_enumeration():
         else:
             assert res.is_optimal
             assert res.objective == pytest.approx(ref[0], abs=1e-7)
+            assert np.array_equal(res.x, np.round(res.x))
 
 
 def test_mixed_integer_continuous_matches_enumeration():
@@ -96,23 +97,7 @@ def test_mixed_integer_continuous_matches_enumeration():
         else:
             assert res.is_optimal
             assert res.objective == pytest.approx(ref[0], abs=1e-7)
-
-
-def test_incumbent_seeding_keeps_exact_value():
-    cost = [-5.0, -4.0, -3.0]
-    C = [[2.0, 3.0, 1.0]]
-    d = [5.0]
-    # seed with the true optimum: nothing improves it, x stays None
-    seeded = milp_solve(cost, C, d, (0.0, 1.0), integer=[0, 1, 2],
-                        incumbent=-9.0)
-    assert seeded.is_optimal
-    assert seeded.objective == pytest.approx(-9.0, abs=1e-9)
-    assert seeded.x is None
-    # a loose seed must not change the answer
-    loose = milp_solve(cost, C, d, (0.0, 1.0), integer=[0, 1, 2],
-                       incumbent=-2.0)
-    assert loose.objective == pytest.approx(-9.0, abs=1e-9)
-    assert loose.x is not None
+            assert np.array_equal(res.x[:n_bin], np.round(res.x[:n_bin]))
 
 
 def test_node_limit_raises():

