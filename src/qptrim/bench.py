@@ -21,7 +21,7 @@ from .closedloop import (
 )
 from .lipschitz import check_kappa_spec, resolve_kappa
 from .mpc import scenario_from_dict
-from .simplex import INFEASIBLE, lp_solve
+from .qpsolver import qp_solve
 
 # largest state or input deviation from the full-solve baseline that
 # still counts as the same trajectory
@@ -99,6 +99,9 @@ def trace_deviation(trace, baseline) -> float:
 def draw_initial_states(scenario, n_draws, seed):
     """Uniform QP-feasible draws over the state box.
 
+    A draw that meets the state constraints is kept when qp_solve solves
+    the full problem there, so a start is accepted exactly when step 0 of
+    simulate can solve it.
     Feasible starts are recursively feasible thanks to the terminal
     ingredients, and unlike draws restricted to the terminal set they
     put the loop through genuinely active constraints early on.
@@ -119,13 +122,7 @@ def draw_initial_states(scenario, n_draws, seed):
                                "region a sliver of the state box?")
         x = rng.uniform(bb[:, 0], bb[:, 1])
         tries += 1
-        if not scenario.X.contains(x):
-            continue
-        if scenario.XN.contains(x):  # invariance makes these feasible
-            draws.append(x)
-            continue
-        feas = lp_solve(np.zeros(p.n_z), p.G, p.rhs(x))
-        if feas.status != INFEASIBLE:
+        if scenario.X.contains(x) and qp_solve(p, x).is_optimal:
             draws.append(x)
     return draws
 

@@ -9,6 +9,7 @@ when the trimmed set becomes empty.
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
 from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
 from .qpsolver import _sample, _solve
-from .tolerances import FEAS
+from .tolerances import FEAS, feas_tol
 from .trim import _kept_mask, check_kappa, check_sample, nearest_index
 
 MODES = ("full", "adaptive-online", "offline-nearest", "hybrid")
@@ -114,7 +115,8 @@ def simulate(
     kappa: float | None = None,
     offline=None,
 ) -> ClosedLoopTrace:
-    """Run the receding-horizon loop for `steps` control steps.
+    """Run the receding-horizon loop for `steps` control steps, a
+    nonnegative integer (ValueError otherwise).
 
     Step 0 always solves the full problem, from the unconstrained
     minimizer with no guess. Later steps pick rows per mode:
@@ -141,18 +143,19 @@ def simulate(
     set from it. G z comes back from the solve, or, where the solve ended
     at z0 without it, is formed as p.G @ z after the input is out, bitwise
     the same; b is formed there too on the full step 0. The other modes
-    keep neither. A trimmed step hands b and one (x_hat, G z*, active
-    mask) triple per sample to the removal fold trim._kept_mask, which
-    tests every row against b - G z*, bitwise the values p.slacks(x', z*)
-    gives. The loop's own triple is kept from its last step and not
-    re-validated with check_sample: its active set is read from its own
-    slacks, so only its feasibility is checked, and a violated row raises
-    InfeasibleAtStep. The offline samples are validated by check_sample,
-    since the dataset may be user-built, but only once per dataset and
-    problem (OfflineDataset.triples): the first call that trims against a
-    dataset checks every sample before step 0, so an inconsistent sample
-    raises ValueError and an empty dataset EmptyDataset before any solve,
-    and each offline step then only looks up its nearest sample's triple.
+    keep neither. A trimmed step hands b and one (x_hat, G z*, active mask)
+    triple per sample to the removal fold trim._kept_mask, which tests every
+    row against b - G z*, bitwise the values p.slacks(x', z*) gives. The
+    loop's own triple is kept from its last step and not re-validated with
+    check_sample: its active set is read from its own slacks, so only its
+    feasibility is checked, to the solver's band feas_tol(b) at the b they
+    were formed from, and a row violated beyond it raises InfeasibleAtStep.
+    The offline samples are validated by check_sample, since the dataset may
+    be user-built, but only once per dataset and problem
+    (OfflineDataset.triples): the first call that trims against a dataset
+    checks every sample before step 0, so an inconsistent sample raises
+    ValueError and an empty dataset EmptyDataset before any solve, and each
+    offline step then only looks up its nearest sample's triple.
     An empty kept set returns the unconstrained minimizer.
 
     Every step after the first hands the solve a guessed active set: the
@@ -173,6 +176,8 @@ def simulate(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     if mode in ("offline-nearest", "hybrid") and offline is None:
         raise ValueError(f"mode {mode!r} needs an offline dataset")
     p = scenario.condensed
@@ -197,10 +202,9 @@ def simulate(
             k, why, trace=ClosedLoopTrace(records, status="infeasible", meta=meta)
         )
 
-    feas_floor = -p.feas_band
     # the modes that trim against the loop's own last sample
     keeps_own = mode in ("adaptive-online", "hybrid")
-    own = slack_prev = None   # last step's (x, G z, active mask), its slack
+    own = slack_prev = b_prev = None  # last step's triple, slack and b
     guess = None              # last solve's active rows, one stage earlier
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
@@ -215,8 +219,10 @@ def simulate(
             samples = []
             if keeps_own:
                 # the loop's own sample: its active set holds by
-                # construction; only its feasibility is left to check
-                if (slack_prev < feas_floor).any():
+                # construction; only its feasibility is left to check, and
+                # max|b| is formed only past FEAS, the band's floor
+                worst = slack_prev.min(initial=0.0)
+                if worst < -FEAS and worst < -feas_tol(b_prev):
                     j = int(np.argmin(slack_prev))
                     fail(k, f"previous solution violates row {j + 1}: "
                             f"slack {slack_prev[j]:.3e}")
@@ -250,7 +256,7 @@ def simulate(
                 b = p.rhs(x)
             if gz is None:
                 gz = p.G @ sol.z_star
-            slack_prev = b - gz
+            slack_prev, b_prev = b - gz, b
             own = (x, gz, np.abs(slack_prev) <= p.act_band)
         guess = None
         if len(active) and not scenario.terminal_rows[active].any():
@@ -307,8 +313,7 @@ class OfflineDataset:
             raise EmptyDataset("dataset has no samples")
         if self._checked[0] is not p:
             self._checked = (p, {
-                id(s): ((s.x_hat, check_sample(p, s),
-                         s.active.to_mask(p.n_c)), p.licq_holds(s.active))
+                id(s): (check_sample(p, s), p.licq_holds(s.active))
                 for s in self.samples})
         return self._checked[1]
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .linalg import NotPositiveDefinite, cholesky
-from .tolerances import ACT, FEAS, rank_tol
+from .tolerances import ACT, rank_tol
 
 
 class NonPositiveScale(Exception):
@@ -213,13 +213,15 @@ class MpQp:
         this close to zero is active."""
         return ACT * (1.0 + np.abs(self.w))
 
-    @cached_property
-    def feas_band(self) -> np.ndarray:
-        """Per-row feasibility band FEAS * (1 + |w|): the violation a
-        solved point may show on a row."""
-        return FEAS * (1.0 + np.abs(self.w))
-
     # -- queries ------------------------------------------------------------
+
+    def parameter(self, x) -> np.ndarray:
+        """x as a finite 1-D float array of length n_x; anything else
+        raises ValueError naming what is wrong."""
+        x = finite_parameter(x)
+        if x.shape != (self.n_x,):
+            raise ValueError(f"parameter has shape {x.shape}, expected ({self.n_x},)")
+        return x
 
     def rhs(self, x) -> np.ndarray:
         """Constraint right-hand side S x + w at parameter x."""

@@ -16,7 +16,8 @@ one cached product, b - G z0 = (S + G H^-1 F') x + w (MpQp.slack_map),
 and returns z0 when no solved row has a negative slack there, forming
 neither b = S x + w nor G z0. A state it passes over pays for both: the
 solver forms h = b - G z0 from them and allows every row a violation of
-FEAS * (1 + max|b|) before it calls z0 infeasible. The two slacks differ
+tolerances.feas_tol(b) = FEAS * (1 + max|b|), the package's one
+feasibility rule, before it calls z0 infeasible. The two slacks differ
 by rounding of order eps (|S x| + |w| + |G z0|), at most 5.3e-15 on the
 loop golden's MPC problems against a band of at least FEAS, so the
 strict check settles no state that the band check would not, and every
@@ -62,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
-from .tolerances import FEAS
+from .mpqp import IndexSet, MpQp, SolvedSample
+from .tolerances import feas_tol
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -112,10 +113,10 @@ def qp_solve(
     iterations of each nnls call, and reaching the cap raises
     ArithmeticError, as does a minimizer that violates a row nnls saw
     outside its active rows. A NaN or infinite parameter raises
-    ValueError. An empty idx returns the unconstrained minimizer with
-    iterations = 1.
+    ValueError, as does one whose length is not n_x. An empty idx returns
+    the unconstrained minimizer with iterations = 1.
     """
-    x = finite_parameter(x)
+    x = p.parameter(x)
     rows = None if idx is None else idx.zero_based()
     return _solve(p, x, None, rows, max_iter)[0]
 
@@ -157,7 +158,7 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
         h, b_rows = b - gz, b
     else:
         h, b_rows = b[rows] - gz[rows], b[rows]
-    feas_slack = FEAS * (1.0 + np.abs(b_rows).max(initial=0.0))
+    feas_slack = feas_tol(b_rows)
     n = len(h)
     if h.min(initial=0.0) >= -feas_slack:
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), gz, _NO_ROWS, "z0"
@@ -253,8 +254,9 @@ def _sample(p: MpQp, x) -> SolvedSample | None:
 
 def solve_sample(p: MpQp, x) -> SolvedSample:
     """Solve the full problem at x and package it as a reusable sample,
-    with the active set read from the minimizer's slacks."""
-    x = finite_parameter(x)
+    with the active set read from the minimizer's slacks. A parameter that
+    is not finite or not of length n_x raises ValueError."""
+    x = p.parameter(x)
     sample = _sample(p, x)
     if sample is None:
         raise ValueError(f"problem is infeasible at x={np.asarray(x)}")

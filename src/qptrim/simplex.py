@@ -242,33 +242,13 @@ class _Tableau:
         return None
 
 
-def _solve_box_only(cost, lo, hi, n):
-    # no linear constraints: minimize each coordinate independently
-    x = np.zeros(n)
-    for j in range(n):
-        if cost[j] > 0:
-            if not np.isfinite(lo[j]):
-                return LpResult(UNBOUNDED)
-            x[j] = lo[j]
-        elif cost[j] < 0:
-            if not np.isfinite(hi[j]):
-                return LpResult(UNBOUNDED)
-            x[j] = hi[j]
-        else:
-            if np.isfinite(lo[j]):
-                x[j] = max(lo[j], min(0.0, hi[j]))
-            elif np.isfinite(hi[j]):
-                x[j] = min(0.0, hi[j])
-    return LpResult(OPTIMAL, x, float(cost @ x))
-
-
 def lp_solve(cost, C=None, d=None, bounds=None) -> LpResult:
     """Minimize cost @ x subject to C @ x <= d and optional box bounds.
 
     bounds may be None (free), one (lo, hi) pair for all variables, or a
     per-variable sequence; None endpoints mean unbounded. Returns an LpResult
     whose status is one of "optimal", "infeasible", "unbounded"; an optimal
-    result over at least one row keeps its simplex state.
+    result keeps its simplex state.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.shape[0]
@@ -281,8 +261,6 @@ def lp_solve(cost, C=None, d=None, bounds=None) -> LpResult:
     if C.shape[1] != n or d.shape[0] != m:
         raise ValueError(f"shape mismatch: cost {n}, C {C.shape}, d {d.shape}")
     lo, hi = _expand_bounds(bounds, n)
-    if m == 0:
-        return _solve_box_only(cost, lo, hi, n)
     return Relaxation(cost, C, d, lo, hi).solve()
 
 
@@ -377,6 +355,8 @@ class Relaxation:
             child.tab.set_bounds(self.col[j], lo - base, hi - base)
         else:
             child.tab.set_bounds(self.col[j], base - hi, base - lo)
+        if not child.tab.m:   # no rows: set_bounds left it optimal
+            return child._result()
         done = child.tab.dual(self.ycost, max_pivots)
         if done is None:
             return None

@@ -2,7 +2,9 @@
 
 Every feasibility / activity / stationarity test in the package scales its
 base tolerance by (1 + relevant norm), so the constants here are relative.
-The per-row bands of an mp-QP are MpQp.feas_band and MpQp.act_band.
+A point of a QP is feasible when no row is violated by more than
+feas_tol(b) of the right-hand sides b; a row's activity band is
+MpQp.act_band.
 """
 
 import numpy as np
@@ -11,6 +13,12 @@ FEAS = 1e-8   # constraint violation
 ACT = 1e-7    # active-set membership (slack magnitude)
 KKT = 1e-7    # stationarity / multiplier sign
 IMPLIED = 1e-9  # a row the other rows hold to within this is redundant
+
+
+def feas_tol(b) -> float:
+    """FEAS * (1 + max|b|), at least FEAS: the largest violation a
+    feasible point may show on any row, for the solver and every check."""
+    return FEAS * (1.0 + np.abs(b).max(initial=0.0))
 
 
 def rank_tol(a: np.ndarray) -> float:

@@ -11,14 +11,14 @@ multi-sample path is gated behind an explicit caller assertion.
 
 Every caller reaches the test through one fold, _kept_mask, which takes
 the right-hand side S x + w at x and one (x_hat, G z*, active mask) triple
-per sample. trim_multi is the one body that builds those triples: it
-validates each sample with check_sample, which computes the sample's slack
-once and returns its G z*, and tests LICQ only when two or more samples
-fold. trim_single is its one-sample call. closedloop.simulate calls the
-fold directly: it checks every offline sample once per dataset and
-problem, before its first step, and skips the check for the sample it
-solved itself. nearest_index, which picks the offline sample, sums squared
-distances one coordinate at a time.
+per sample. check_sample builds each triple: it computes the sample's
+slack once and holds it to the solver's own feasibility band. trim_multi
+folds the triples of its samples and tests LICQ only when two or more
+samples fold; trim_single is its one-sample call. closedloop.simulate
+calls the fold directly: it checks every offline sample once per dataset
+and problem, before its first step, and checks only the feasibility of
+the sample it solved itself, to the same band. nearest_index, which picks
+the offline sample, sums squared distances one coordinate at a time.
 """
 
 import json
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
+from .tolerances import feas_tol
 
 
 class LicqViolation(Exception):
@@ -55,13 +56,14 @@ class TrimOutcome:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def check_sample(p: MpQp, sample: SolvedSample) -> np.ndarray:
+def check_sample(p: MpQp, sample: SolvedSample) -> tuple:
     """Raise ValueError unless the sample is consistent with the problem;
-    return its row image G z*.
+    return its (x_hat, G z*, active mask) triple, as the fold reads it.
 
-    The sample's slack S x_hat + w - G z* is computed once: it must be
-    feasible within the problem's band, and the rows within the activity
-    band must be exactly the sample's stored active set."""
+    The sample's slack b - G z* at b = S x_hat + w is computed once: no
+    row may be violated by more than feas_tol(b), the band the solver
+    allows its own points, and the rows within the activity band must be
+    exactly the sample's stored active set."""
     x = np.atleast_1d(np.asarray(sample.x_hat, dtype=float))
     z = np.atleast_1d(np.asarray(sample.z_star, dtype=float))
     if x.shape != (p.n_x,) or z.shape != (p.n_z,):
@@ -69,16 +71,18 @@ def check_sample(p: MpQp, sample: SolvedSample) -> np.ndarray:
             f"sample shapes x_hat{x.shape}, z_star{z.shape} do not match "
             f"problem (n_x={p.n_x}, n_z={p.n_z})"
         )
+    b = p.rhs(x)
     gz = p.G @ z
-    slack = p.rhs(x) - gz
-    if np.any(slack + p.feas_band < 0.0):
+    slack = b - gz
+    if slack.min(initial=0.0) < -feas_tol(b):
         bad = int(np.argmin(slack)) + 1
         raise ValueError(f"sample infeasible at row {bad}: slack {slack[bad - 1]:.3e}")
-    if IndexSet.from_mask(np.abs(slack) <= p.act_band) != sample.active:
+    active = np.abs(slack) <= p.act_band
+    if IndexSet.from_mask(active) != sample.active:
         raise ValueError(
             f"sample active set {sample.active} inconsistent with slacks"
         )
-    return gz
+    return x, gz, active
 
 
 def check_kappa(kappa) -> None:
@@ -155,10 +159,10 @@ def trim_multi(
     With zero samples every row is kept. Without assume_licq only the
     sample nearest to x folds. Two or more samples fold only when each
     one's active rows are independent (LicqViolation otherwise). The
-    radius is that of the last sample folded.
+    radius is that of the last sample folded. A bad x raises ValueError.
     """
     check_kappa(kappa)
-    x = finite_parameter(x)
+    x = p.parameter(x)
     samples = list(samples)
     if not samples:
         return TrimOutcome(
@@ -170,13 +174,12 @@ def trim_multi(
         samples = [samples[nearest_index(np.array([s.x_hat for s in samples]), x)]]
     triples = []
     for k, s in enumerate(samples):
-        gz = check_sample(p, s)
+        triples.append(check_sample(p, s))
         if len(samples) > 1 and not p.licq_holds(s.active):
             raise LicqViolation(
                 f"sample {k} (x_hat={np.atleast_1d(s.x_hat).tolist()}) has "
                 f"linearly dependent active rows {list(s.active.indices)}"
             )
-        triples.append((s.x_hat, gz, s.active.to_mask(p.n_c)))
     mask = _kept_mask(p, kappa, x, p.rhs(x), triples)
     return TrimOutcome(
         kept=IndexSet.from_mask(mask),

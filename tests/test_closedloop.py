@@ -110,6 +110,15 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             simulate(sc, [0, 0, 0], 3)
 
+    @pytest.mark.parametrize("steps", [-3, 2.5, "3"])
+    def test_steps_must_be_a_nonnegative_integer(self, steps):
+        with pytest.raises(ValueError, match="steps must be"):
+            simulate(di_scenario(), [0.1, 0.1], steps)
+
+    def test_zero_steps_run_nothing(self):
+        trace = simulate(di_scenario(), [0.1, 0.1], np.int64(0))
+        assert trace.status == "ok" and trace.records == []
+
     def test_record_modes_and_meta(self):
         sc = di_scenario()
         trace = simulate(sc, [0.1, 0.1], 3, mode="adaptive-online")

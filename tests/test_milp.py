@@ -120,6 +120,20 @@ def test_integer_infeasible_but_lp_feasible():
     assert res.status == INFEASIBLE
 
 
+def test_box_only_children_reoptimised(monkeypatch):
+    # no rows: the root keeps its state and every child re-optimises it
+    import qptrim.milp as milp_mod
+
+    calls = []
+    cold = milp_mod.lp_solve
+    monkeypatch.setattr(milp_mod, "lp_solve",
+                        lambda *a, **k: calls.append(1) or cold(*a, **k))
+    res = milp_solve([1.0, -1.0], bounds=[(-1.5, 2.5), (None, 0.5)],
+                     integer=[0, 1])
+    assert res.status == OPTIMAL and res.x.tolist() == [-1.0, 0.0]
+    assert res.nodes == 3 and len(calls) == 1
+
+
 def test_unbounded_detected():
     res = milp_solve([-1.0], bounds=[(0.0, None)], integer=[0])
     assert res.status == UNBOUNDED

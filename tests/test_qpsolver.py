@@ -132,6 +132,13 @@ class TestInfeasible:
                 with pytest.raises(ValueError, match="not finite"):
                     qp_solve(p, bad, idx)
 
+    def test_parameter_of_wrong_length_named(self):
+        p = example_two_halfplanes()
+        for solve in (qp_solve, solve_sample):
+            for bad in ([1.0, 2.0], [[1.0]]):
+                with pytest.raises(ValueError, match=r"expected \(1,\)"):
+                    solve(p, bad)
+
     def test_solve_sample_raises_on_infeasible(self):
         p = MpQp(H=[[1.0]], F=[[0.0]], G=[[1.0], [-1.0]], S=[[0.0], [0.0]], w=[-1.0, -1.0])
         with pytest.raises(ValueError):

@@ -246,6 +246,18 @@ def test_rebound_chains_through_grandchildren():
                 break
 
 
+def test_rebound_without_rows():
+    # a box-only LP keeps its state; a child re-optimises on its new bound
+    for bounds, cut, want in (((0.0, 2.5), (0.0, 2.0), 2.0),
+                              ((None, 2.5), (-np.inf, 1.0), 1.0),
+                              ((-1.0, 2.5), (-1.0, -0.5), -0.5)):
+        res = lp_solve([-1.0], bounds=[bounds])
+        assert res.status == OPTIMAL and res.state is not None
+        child = res.state.rebound(0, *cut, 500)
+        assert child.status == OPTIMAL and child.x.tolist() == [want]
+        assert child.iterations == 0
+
+
 def test_rebound_declines_free_column():
     C, d = random_bounded_polytope(np.random.default_rng(53), 2, 2)
     res = lp_solve([1.0, -1.0], C, d, [(None, None), (-4.0, 4.0)])

@@ -289,6 +289,14 @@ class TestTrimMulti:
             with pytest.raises(ValueError, match="not finite"):
                 trim_multi(hp, 1.0, samples, [np.nan], assume_licq=licq)
 
+    def test_parameter_of_wrong_length_named(self, hp, hp_samples):
+        s1, s2 = hp_samples
+        with pytest.raises(ValueError, match=r"expected \(1,\)"):
+            trim_single(hp, 1.0, s1, [-2.0, 0.0])
+        for samples in ([], [s1, s2]):
+            with pytest.raises(ValueError, match=r"expected \(1,\)"):
+                trim_multi(hp, 1.0, samples, [-2.0, 0.0], assume_licq=True)
+
     def test_more_samples_never_keep_more(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
