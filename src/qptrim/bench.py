@@ -7,6 +7,7 @@ drop the time_pct column.
 """
 
 import json
+import numbers
 import pathlib
 from dataclasses import dataclass, field
 
@@ -48,10 +49,11 @@ class BenchConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.n_draws < 1:
-            raise ValueError(f"n_draws must be >= 1, got {self.n_draws}")
+        for name in ("steps", "n_draws"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
         check_kappa_spec(self.kappa)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
-from .mpqp import IndexSet, MpQp, SolvedSample, finite_parameter
+from .mpqp import IndexSet, MpQp, SolvedSample
 from .qpsolver import _sample, _solve
 from .tolerances import FEAS, feas_tol
 from .trim import _kept_mask, check_kappa, check_sample, nearest_index
@@ -135,17 +135,16 @@ def simulate(
     certified constant where its enumeration is affordable. A NaN,
     infinite or negative kappa raises ValueError before step 0.
 
-    A trimmed step computes b = S x + w once, before its trim, and hands
-    the same b to the solve; a full step hands none, so a solve that ends
-    at z0 forms neither b nor G z0 (see qpsolver). In adaptive-online and
+    A trimmed step computes b = S x + w for its trim; the solve forms its
+    own b only when z0 fails the fused first check, so a solve that ends
+    there forms neither b nor G z0 (see qpsolver). In adaptive-online and
     hybrid, the modes that trim against the loop's own sample, each step
-    then keeps b - G z, the full rows' slack vector, and reads its active
-    set from it. G z comes back from the solve, or, where the solve ended
-    at z0 without it, is formed as p.G @ z after the input is out, bitwise
-    the same; b is formed there too on the full step 0. The other modes
-    keep neither. A trimmed step hands b and one (x_hat, G z*, active mask)
-    triple per sample to the removal fold trim._kept_mask, which tests every
-    row against b - G z*, bitwise the values p.slacks(x', z*) gives. The
+    then forms G z = p.G @ z after the input is out, keeps b - G z, the
+    full rows' slack vector, and reads its active set from it; b is formed
+    there too on the full step 0. The other modes keep neither. A trimmed
+    step hands b and one (x_hat, G z*, active mask) triple per sample to
+    the removal fold trim._kept_mask, which tests every row against
+    b - G z*, bitwise the values p.slacks(x', z*) gives. The
     loop's own triple is kept from its last step and not re-validated with
     check_sample: its active set is read from its own slacks, so only its
     feasibility is checked, to the solver's band feas_tol(b) at the b they
@@ -242,7 +241,7 @@ def simulate(
             if guess is not None:
                 guess = guess[kept[guess]]
         t1 = time.perf_counter()
-        sol, gz, active, path = _solve(p, x, b, rows, guess=guess)
+        sol, active, path = _solve(p, x, rows, guess=guess)
         t2 = time.perf_counter()
         if not sol.is_optimal:
             fail(k, f"QP solve returned {sol.status}")
@@ -254,8 +253,7 @@ def simulate(
             # is exact
             if b is None:
                 b = p.rhs(x)
-            if gz is None:
-                gz = p.G @ sol.z_star
+            gz = p.G @ sol.z_star
             slack_prev, b_prev = b - gz, b
             own = (x, gz, np.abs(slack_prev) <= p.act_band)
         guess = None
@@ -364,7 +362,7 @@ def build_offline_dataset(scenario, spacing: float | None = None,
     samples = []
     anchor_kept = False
     for pt in points:
-        sample = _sample(p, finite_parameter(pt))
+        sample = _sample(p, p.parameter(pt))
         if sample is None:
             warnings.warn(f"skipping infeasible point {pt}")
             continue

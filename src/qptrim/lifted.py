@@ -21,7 +21,7 @@ import numpy as np
 from .milp import milp_solve
 from .mpqp import MpQp, SolvedSample
 from .simplex import INFEASIBLE, OPTIMAL, lp_solve
-from .tolerances import FEAS
+from .tolerances import feas_tol
 from .trim import check_kappa
 
 
@@ -109,7 +109,13 @@ class LiftedPolyhedron:
         return self.slacks(v) / self.row_norms
 
     def contains(self, v) -> bool:
-        return bool(np.all(self.slacks(v) >= -FEAS * (1.0 + np.abs(self.w))))
+        """Every slack w - H_lift v is at least -feas_tol(|w| + |H_lift| |v|).
+        For a lift of an mp-QP, H_lift = [-S, G], so that bound is never
+        below the solver's feas_tol(S x + w): a point the solver returned
+        lies inside."""
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        band = feas_tol(np.abs(self.w) + np.abs(self.H_lift) @ np.abs(v))
+        return bool(np.all(self.slacks(v) >= -band))
 
     def content_hash(self) -> str:
         h = hashlib.sha256()

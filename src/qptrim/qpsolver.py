@@ -55,7 +55,10 @@ settles the solve with one |W| x |W| solve and no nnls call, and its z is
 bitwise the one nnls's W would give when the two sets agree; a wrong
 guess costs that solve and falls through to nnls, so it changes nothing.
 The public solver takes no guess and reports no active set;
-solve_sample reads one from the slacks b - G z of its solve.
+solve_sample reads one as MpQp.active_set(x, z) at its minimizer. Every
+solve forms its own b and hands back only its answer, the active rows it
+was solved on and the branch that settled it; a caller that needs G z
+forms it.
 """
 
 from dataclasses import dataclass
@@ -93,12 +96,7 @@ class QpSolution:
         return self.status == OPTIMAL
 
 
-def qp_solve(
-    p: MpQp,
-    x,
-    idx: IndexSet | None = None,
-    max_iter: int | None = None,
-) -> QpSolution:
+def qp_solve(p: MpQp, x, idx: IndexSet | None = None) -> QpSolution:
     """Solve the trimmed QP at parameter x over constraint subset idx.
 
     Every solve starts cold, at the unconstrained minimizer. When no kept
@@ -109,37 +107,39 @@ def qp_solve(
     minimizer meets every kept row (see the module docstring).
     `iterations` is 1 plus the number of active rows the last nnls call
     finds; on an INFEASIBLE solve those are rows of whichever subset that
-    call saw, so the count depends on the seed. max_iter caps the
-    iterations of each nnls call, and reaching the cap raises
-    ArithmeticError, as does a minimizer that violates a row nnls saw
-    outside its active rows. A NaN or infinite parameter raises
-    ValueError, as does one whose length is not n_x. An empty idx returns
-    the unconstrained minimizer with iterations = 1.
+    call saw, so the count depends on the seed. An nnls call that reaches
+    its cap of 50 (n_z + n) + 100 iterations, n the number of kept rows,
+    raises ArithmeticError, as does a minimizer that violates a row nnls
+    saw outside its active rows. A NaN or infinite parameter raises
+    ValueError, as does one whose length is not n_x, and so does an index
+    above n_c. An empty idx returns the unconstrained minimizer with
+    iterations = 1.
     """
     x = p.parameter(x)
-    rows = None if idx is None else idx.zero_based()
-    return _solve(p, x, None, rows, max_iter)[0]
+    rows = None
+    if idx is not None:
+        rows = idx.zero_based()
+        if len(rows) and rows[-1] >= p.n_c:
+            raise ValueError(f"index {rows[-1] + 1} exceeds n_c={p.n_c}")
+    return _solve(p, x, rows)[0]
 
 
-def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
-    """qp_solve at a finite x whose right-hand side S x + w is b (None:
-    formed here when needed), over the 0-based rows `rows` (None: all
+def _solve(p: MpQp, x, rows, guess=None):
+    """qp_solve at a finite x over the 0-based rows `rows` (None: all
     rows), optionally with a guessed active set: the 0-based rows `guess`,
     ascending, all of them in `rows`.
 
-    Returns (solution, G z over all rows of p, active rows W, path).
-    closedloop.simulate hands in the b it computed for its trim, reads its
-    slacks b - G z from G z and guesses its next solve's active set from
-    W. W holds the 0-based rows the minimizer was solved on: empty when
-    z0 passes the first check, None, as is G z, when infeasible. G z is
-    None on the "z0" path too when no solved row has a negative fused
-    slack slack_map @ x + w: z0 is then returned without forming b or
-    G z0, and a caller that needs G z forms p.G @ z, bitwise the G z0
-    the band check would have formed. path names the branch that settled
-    the solve: "z0" at the first check (the fused slack, then b - G z0 to
-    the band FEAS * (1 + max|b|)), "guess" when KKT proves the guess,
-    "nnls" otherwise. The guess is tried only after the first check
-    fails. It is accepted only when its Gram matrix factors, every
+    Returns (solution, active rows W, path). closedloop.simulate guesses
+    its next solve's active set from W. W holds the 0-based rows the
+    minimizer was solved on: empty when z0 passes the first check, None
+    when infeasible. path names the branch that settled the solve: "z0"
+    at the first check, "guess" when KKT proves the guess, "nnls"
+    otherwise. The first check reads the fused slack slack_map @ x + w
+    and returns z0 when no solved row of it is negative, forming neither
+    b = S x + w nor G z0; only past it does the solve form b and
+    h = b - G z0, and it returns z0 when no solved row of h is violated
+    beyond the band FEAS * (1 + max|b|). The guess is tried only after
+    both fail. It is accepted only when its Gram matrix factors, every
     multiplier is >= 0, every solved row holds to FEAS * (1 + max|b|) and
     the guessed rows hold as equalities to the same band; the minimizer is
     then bitwise the one the nnls branch would form from the same rows. A
@@ -150,9 +150,8 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
     fused = p.slack_map @ x + p.w
     if (fused if rows is None else fused[rows]).min(initial=0.0) >= 0.0:
         n = p.n_c if rows is None else len(rows)
-        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), None, _NO_ROWS, "z0"
-    if b is None:
-        b = p.rhs(x)
+        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
+    b = p.rhs(x)
     gz = p.G @ z0
     if rows is None:
         h, b_rows = b - gz, b
@@ -161,11 +160,11 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
     feas_slack = feas_tol(b_rows)
     n = len(h)
     if h.min(initial=0.0) >= -feas_slack:
-        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), gz, _NO_ROWS, "z0"
+        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
     if guess is not None and len(guess):
         work = guess if rows is None else np.searchsorted(rows, guess)
         try:
-            lam_w, z, gz, slack = _held(p, z0, h, b_rows, rows, work, guess)
+            lam_w, z, slack = _held(p, z0, h, b_rows, rows, work, guess)
         except np.linalg.LinAlgError:
             pass
         else:
@@ -174,7 +173,7 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
             # nearly dependent guess moved z off its rows
             if (lam_w.min() >= 0.0 and slack.min() >= -feas_slack
                     and slack[work].max() <= feas_slack):
-                return _optimal(z, lam_w, n, work), gz, guess, "guess"
+                return _optimal(z, lam_w, n, work), guess, "guess"
     # h over the largest violation distance max_i -h_i / ||E_i|| makes
     # ||y|| >= 1, whatever the scale of x, H, F or the rows; a violated
     # row with E_i = 0 leaves nothing to scale by and no point meets it
@@ -182,7 +181,7 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
     live = norms > 0.0
     scale = (-h[live] / norms[live]).max(initial=0.0)
     if scale <= 0.0:
-        return QpSolution(None, None, INFEASIBLE, 1), None, None, "nnls"
+        return QpSolution(None, None, INFEASIBLE, 1), None, "nnls"
     # nnls sees the rows whose boundary lies within `scale` of z0 in the
     # H-metric: every violated row and the satisfied rows nearest z0; a
     # zero row only when it is violated beyond feas_slack, as the first
@@ -190,22 +189,20 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
     seen = h < np.where(live, scale * norms, -feas_slack)
     e = np.zeros(p.n_z + 1)
     e[-1] = -1.0
-    if max_iter is None:
-        max_iter = 50 * (p.n_z + n) + 100
     while True:
         cols = seen.nonzero()[0]
         E = p.g_lt[cols if rows is None else rows[cols]]
         try:
             u, resid = nnls(np.vstack([E.T, h[cols] / scale]), e,
-                            maxiter=max_iter)
+                            maxiter=50 * (p.n_z + n) + 100)
         except RuntimeError as exc:
             raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
         work = cols[u.nonzero()[0]]
         if resid <= VANISHED:
             return (QpSolution(None, None, INFEASIBLE, 1 + len(work)), None,
-                    None, "nnls")
+                    "nnls")
         held = work if rows is None else rows[work]
-        lam_w, z, gz, slack = _held(p, z0, h, b_rows, rows, work, held)
+        lam_w, z, slack = _held(p, z0, h, b_rows, rows, work, held)
         # W holds only to the rounding of the Gram solve
         slack[work] = 0.0
         violated = slack < -feas_slack
@@ -215,20 +212,20 @@ def _solve(p: MpQp, x, b, rows, max_iter=None, guess=None):
             raise ArithmeticError(
                 "nnls's active rows leave a solved row violated")
         seen |= violated
-    return _optimal(z, lam_w, n, work), gz, held, "nnls"
+    return _optimal(z, lam_w, n, work), held, "nnls"
 
 
 def _held(p: MpQp, z0, h, b_rows, rows, work, held):
     """The minimizer with the solved rows at positions `work` (0-based rows
     `held` of p) held as equalities: (G_W H^-1 G_W') lam_W = G_W z0 - b_W
-    and z = z0 - H^-1 G_W' lam_W. Returns lam_W, z, G z over all rows and
-    the solved rows' slacks b - G z. A singular Gram matrix raises
+    and z = z0 - H^-1 G_W' lam_W. Returns lam_W, z and the solved rows'
+    slacks b - G z. A singular Gram matrix raises
     numpy.linalg.LinAlgError."""
     Yw = p.hi_gt[:, held]
     lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
     z = z0 - Yw @ lam_w
     gz = p.G @ z
-    return lam_w, z, gz, b_rows - (gz if rows is None else gz[rows])
+    return lam_w, z, b_rows - (gz if rows is None else gz[rows])
 
 
 def _optimal(z, lam_w, n, work) -> QpSolution:
@@ -238,18 +235,12 @@ def _optimal(z, lam_w, n, work) -> QpSolution:
 
 
 def _sample(p: MpQp, x) -> SolvedSample | None:
-    """The full solve at a finite x as a sample, or None when infeasible.
-    Its active set reads the slacks b - G z off the solve's own G z, or
-    off p.G @ z when the solve returned none, which is bitwise
-    p.active_set(x, z)."""
-    b = p.rhs(x)
-    sol, gz = _solve(p, x, b, None)[:2]
+    """The full solve at a finite x as a sample, with its active set
+    p.active_set(x, z), or None when infeasible."""
+    sol = _solve(p, x, None)[0]
     if not sol.is_optimal:
         return None
-    if gz is None:
-        gz = p.G @ sol.z_star
-    return SolvedSample(x, sol.z_star,
-                        IndexSet.from_mask(np.abs(b - gz) <= p.act_band))
+    return SolvedSample(x, sol.z_star, p.active_set(x, sol.z_star))
 
 
 def solve_sample(p: MpQp, x) -> SolvedSample:

@@ -1,9 +1,55 @@
-"""Shared generators for randomized tests.
+"""Shared generators and spies for tests.
 
 The generic random instance, built around a known strictly feasible point,
 and the feasible-parameter search are the release gate's own generators
 (qptrim.verify), imported under shorter names.
 """
 
+from dataclasses import dataclass
+
+from qptrim import closedloop, qpsolver
 from qptrim.verify import _feasible_shift as random_feasible_x  # noqa: F401
 from qptrim.verify import _random_mpqp as random_mpqp  # noqa: F401
+
+
+def nnls_spy(monkeypatch):
+    """A list that collects the matrix of every nnls call qpsolver makes."""
+    seen = []
+    real = qpsolver.nnls
+
+    def spy(A, b, maxiter):
+        seen.append(A.copy())
+        return real(A, b, maxiter=maxiter)
+
+    monkeypatch.setattr(qpsolver, "nnls", spy)
+    return seen
+
+
+@dataclass
+class SolveCall:
+    """One solve of the closed loop: its problem, parameter, solved rows
+    (None: all), the guess it was handed and the matrices of the nnls calls
+    it made."""
+
+    p: object
+    x: object
+    rows: object
+    guess: object
+    nnls: list
+
+
+def solve_spy(monkeypatch, withhold_guess=False):
+    """A list that collects a SolveCall for every solve closedloop makes;
+    with withhold_guess the solve runs without the guess it was handed."""
+    calls = []
+    seen = nnls_spy(monkeypatch)
+    real = closedloop._solve
+
+    def spy(p, x, rows, guess=None):
+        first = len(seen)
+        out = real(p, x, rows, None if withhold_guess else guess)
+        calls.append(SolveCall(p, x.copy(), rows, guess, seen[first:]))
+        return out
+
+    monkeypatch.setattr(closedloop, "_solve", spy)
+    return calls

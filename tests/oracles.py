@@ -79,7 +79,7 @@ def _step(G, Y, work, j):
     return Y[:, j] - Y[:, work] @ r, r
 
 
-def reference_qp_solve(p, x, idx=None, max_iter=None):
+def reference_qp_solve(p, x, idx=None):
     """(z_star, lam, status, iterations, drops) of the array-based loop."""
     x = finite_parameter(x)
     b = p.rhs(x)
@@ -91,8 +91,6 @@ def reference_qp_solve(p, x, idx=None, max_iter=None):
         G, Y, b, quads = p.G[rows], None, b[rows], p.g_quads[rows]
     n = len(b)
     feas_slack = FEAS * (1.0 + np.abs(b).max(initial=0.0))
-    if max_iter is None:
-        max_iter = 50 * (p.n_z + n) + 100
 
     z0 = -p.hi_ft @ x
     z = z0
@@ -101,7 +99,7 @@ def reference_qp_solve(p, x, idx=None, max_iter=None):
     iterations = 1
     drops = 0
     j = None                 # the violated row being added
-    for _ in range(max_iter):
+    for _ in range(50 * (p.n_z + n) + 100):
         if j is None:
             viol = G @ z - b
             if work:

@@ -152,6 +152,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 BenchConfig(**base, kappa=kappa)
 
+    def test_rejects_fractional_counts(self):
+        base = dict(scenario=gen_double_integrator())
+        for name in ("steps", "n_draws"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                BenchConfig(**base, **{name: 2.5})
+
     def test_csv_row_format(self):
         row = MetricsRow(k=2, mode="full", kept_mean=1.5, kept_pct=50.0,
                          time_pct=99.5, iters_mean=3.25)

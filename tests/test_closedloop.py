@@ -378,6 +378,10 @@ class TestOfflineDataset:
             ds = build_offline_dataset(sc, centers=[[0.0, 0.0], [50.0, 50.0]])
         assert len(ds.samples) == 1
 
+    def test_center_of_wrong_length_named(self):
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            build_offline_dataset(di_scenario(), centers=[[0.0, 0.0, 0.0]])
+
     def test_all_points_infeasible(self):
         sc = di_scenario()
         with pytest.warns(UserWarning):

@@ -1,7 +1,8 @@
 """One feasibility rule: a point of the QP may violate a row by at most
 tolerances.feas_tol(b) = FEAS (1 + max|b|), and the solver, check_sample
-and the closed loop's own-sample check all read it, so none of them
-refuses a point the solver returned."""
+and the closed loop's own-sample check all read it, and the lifted
+polyhedron a band never below it, so none of them refuses a point the
+solver returned."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qptrim import tolerances
 from qptrim.closedloop import build_offline_dataset, simulate
+from qptrim.lifted import NotInPolyhedron, containment_count, lift, lift_point
 from qptrim.lipschitz import glc_scaled_estimate
 from qptrim.mpc import scenario_from_dict
 from qptrim.mpqp import SolvedSample
@@ -70,6 +72,26 @@ def test_sample_beyond_the_band_still_refused(masses):
     bad = SolvedSample(X_INSIDE, z, s.active)
     with pytest.raises(ValueError, match="infeasible at row 22"):
         check_sample(p, bad)
+
+
+def test_lifted_polyhedron_holds_the_solvers_sample(masses):
+    # lift(p) holds a point to feas_tol(|w| + |H_lift| |v|), which is never
+    # below the solver's feas_tol(S x + w) since H_lift = [-S, G]: the
+    # sample lies inside, and the same moved twice that band past row 22
+    # does not
+    p = masses.condensed
+    L = lift(p)
+    s = solve_sample(p, X_INSIDE)
+    v = lift_point(s)
+    band = tolerances.feas_tol(np.abs(L.w) + np.abs(L.H_lift) @ np.abs(v))
+    assert band >= band_check(p, X_INSIDE, None)[1]
+    assert L.slacks(v)[21] < -FEAS * (1.0 + abs(p.w[21]))
+    assert containment_count(L, v, 0.0) < p.n_c
+    g = p.G[21]
+    gap = 2.0 * band + L.slacks(v)[21]
+    z = s.z_star + gap * g / (g @ g)
+    with pytest.raises(NotInPolyhedron):
+        containment_count(L, np.concatenate([X_INSIDE, z]), 0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -139,6 +139,11 @@ class TestInfeasible:
                 with pytest.raises(ValueError, match=r"expected \(1,\)"):
                     solve(p, bad)
 
+    def test_index_above_n_c_named(self):
+        p = example_two_halfplanes()
+        with pytest.raises(ValueError, match="index 3 exceeds n_c=2"):
+            qp_solve(p, [-2.0], IndexSet([1, p.n_c + 1]))
+
     def test_solve_sample_raises_on_infeasible(self):
         p = MpQp(H=[[1.0]], F=[[0.0]], G=[[1.0], [-1.0]], S=[[0.0], [0.0]], w=[-1.0, -1.0])
         with pytest.raises(ValueError):

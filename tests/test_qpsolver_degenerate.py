@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_feasible_x, random_mpqp
+from helpers import nnls_spy, random_feasible_x, random_mpqp, solve_spy
 from oracles import reference_qp_solve
 from qptrim import closedloop, qpsolver
 from qptrim.bench import draw_initial_states
@@ -18,9 +18,19 @@ from qptrim.qpsolver import INFEASIBLE, OPTIMAL, QpSolution, qp_solve
 from test_qpsolver import kkt_residuals
 
 
-def test_iteration_cap_raises():
-    with pytest.raises(ArithmeticError):
-        qp_solve(example_two_halfplanes(), [-2.0], max_iter=1)
+def test_iteration_cap_raises(monkeypatch):
+    # scipy's nnls raises RuntimeError when it reaches its iteration cap,
+    # 50 (n_z + n_c) + 100 here
+    caps = []
+
+    def capped(A, b, maxiter):
+        caps.append(maxiter)
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(qpsolver, "nnls", capped)
+    with pytest.raises(ArithmeticError, match="nnls iteration limit"):
+        qp_solve(example_two_halfplanes(), [-2.0])
+    assert caps == [50 * (1 + 2) + 100]
 
 
 def scale_cases():
@@ -56,19 +66,6 @@ def test_violated_zero_row_is_infeasible():
     for x in (1.0, -1.0):
         assert qp_solve(p, [x]).status == INFEASIBLE
         assert qp_solve(p, [x], IndexSet([2])).is_optimal
-
-
-def nnls_spy(monkeypatch):
-    """A list that collects the matrix of every nnls call qpsolver makes."""
-    seen = []
-    real = qpsolver.nnls
-
-    def spy(A, b, maxiter):
-        seen.append(A.copy())
-        return real(A, b, maxiter=maxiter)
-
-    monkeypatch.setattr(qpsolver, "nnls", spy)
-    return seen
 
 
 def zero_row_problem(w_zero):
@@ -231,29 +228,19 @@ def test_loop_solves_add_the_rows_nnls_missed(monkeypatch):
     # the masses-3 starts of the loop golden: nnls sees only the rows near
     # z0, and where the minimizer over them violates a row it did not
     # see, that row joins and nnls runs again
-    seen = nnls_spy(monkeypatch)
-    solves = []
-    real = closedloop._solve
-
-    def spy(p, x, b, rows, max_iter=None, guess=None):
-        first = len(seen)
-        out = real(p, x, b, rows, max_iter, guess)
-        n = p.n_c if rows is None else len(rows)
-        solves.append((p, x.copy(), rows, n, seen[first:]))
-        return out
-
-    monkeypatch.setattr(closedloop, "_solve", spy)
+    solves = solve_spy(monkeypatch)
     sc = scenario_from_dict(gen_oscillating_masses(3, h=0.5, N=10))
     for x0 in draw_initial_states(sc, 36, 0):
         closedloop.simulate(sc, x0, 25, mode="full")
     again = fewer = 0
-    for p, x, rows, n, calls in solves:
-        if not calls:
+    for c in solves:
+        if not c.nnls:
             continue
-        again += len(calls) > 1
-        if min(A.shape[1] for A in calls) < n:
+        again += len(c.nnls) > 1
+        n = c.p.n_c if c.rows is None else len(c.rows)
+        if min(A.shape[1] for A in c.nnls) < n:
             fewer += 1
-            idx = None if rows is None else IndexSet(rows + 1)
-            agrees_with_reference(p, x, idx)
+            idx = None if c.rows is None else IndexSet(c.rows + 1)
+            agrees_with_reference(c.p, c.x, idx)
     assert again > 0
     assert fewer > 0

@@ -59,21 +59,25 @@ def scaled_to_band(p, x, rows, offset, upper):
 
 
 def settles_z0_where_the_band_does(p, x, idx):
-    """Assert both the loop's call (b handed in) and qp_solve's (b None)
-    end at z0 exactly where min(b - G z0) >= -FEAS (1 + max|b|), with no
-    G z where the fused slack settled it, and that qp_solve agrees with
-    the reference loop. Return (min(b - G z0) in bands, G z returned)."""
+    """Assert the solve ends at z0 exactly where min(b - G z0) >=
+    -FEAS (1 + max|b|), and that qp_solve agrees with the reference loop.
+    Return min(b - G z0) in bands."""
     rows = None if idx is None else idx.zero_based()
     h, band = band_check(p, x, rows)
-    for b in (p.rhs(x), None):
-        sol, gz, active, path = qpsolver._solve(p, x, b, rows)
-        assert (path == "z0") == (h >= -band)
-        if path == "z0":
-            assert np.array_equal(sol.z_star, -p.hi_ft @ x)
-            assert active.size == 0 and sol.iterations == 1
-            assert gz is None or np.array_equal(gz, p.G @ sol.z_star)
+    sol, active, path = qpsolver._solve(p, x, rows)
+    assert (path == "z0") == (h >= -band)
+    if path == "z0":
+        assert np.array_equal(sol.z_star, -p.hi_ft @ x)
+        assert active.size == 0 and sol.iterations == 1
     agrees_with_reference(p, x, idx)
-    return h / band, gz is not None
+    return h / band
+
+
+def fused_settles(p, x, rows):
+    """Whether no solved row of the fused slack slack_map @ x + w is
+    negative, so the solve ends at its first, strict check."""
+    fused = p.slack_map @ x + p.w
+    return (fused if rows is None else fused[rows]).min(initial=0.0) >= 0.0
 
 
 def first_check_cases(rng, n_z, n_x, n_c, scale, spread):
@@ -124,9 +128,9 @@ def test_scaled_states_reach_each_side_of_the_band():
             y = scaled_to_band(p, x, rows, offset, seed % 2 == 0)
             if y is None:
                 continue
-            bands, has_gz = settles_z0_where_the_band_does(p, y, idx)
+            bands = settles_z0_where_the_band_does(p, y, idx)
             assert abs(bands - offset) <= 1e-3 * (1.0 + abs(offset))
-            side = ("fused" if not has_gz else
+            side = ("fused" if fused_settles(p, y, rows) else
                     "band" if bands >= -1.0 else "past")
             # the fused slack and b - G z0 part only at rounding level
             assert (bands >= -1e-6) if side == "fused" else (bands <= 1e-6)
@@ -169,12 +173,13 @@ def test_full_loop_forms_b_only_past_the_fused_check(monkeypatch):
 
 def test_sample_at_a_z0_state_reads_the_active_set_off_g_z():
     # z0 = (1, 0) lies on row 1's boundary and the fused slack is 0 there,
-    # so the solve returns no G z; the sample forms it and reads row 1
+    # so the solve ends at its first check; the sample forms G z and reads
+    # row 1
     p = MpQp(H=np.eye(2), F=np.eye(2), G=[[1.0, 0.0], [0.0, 1.0]],
              S=np.zeros((2, 2)), w=[1.0, 3.0])
     x = np.array([-1.0, 0.0])
-    sol, gz, _, path = qpsolver._solve(p, x, None, None)
-    assert path == "z0" and gz is None
+    assert fused_settles(p, x, None)
+    assert qpsolver._solve(p, x, None)[2] == "z0"
     sample = solve_sample(p, x)
     assert sample.active == IndexSet([1])
     assert sample.active == p.active_set(x, sample.z_star)

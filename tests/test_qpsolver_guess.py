@@ -10,20 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qptrim import closedloop, qpsolver
+from helpers import nnls_spy, solve_spy
+from qptrim import qpsolver
 from qptrim.bench import draw_initial_states
 from qptrim.closedloop import InfeasibleAtStep, build_offline_dataset, simulate
 from qptrim.mpc import scenario_from_dict
 from qptrim.mpqp import MpQp
 from test_loop_golden import CASES, STEPS
-from test_qpsolver_degenerate import nnls_spy, reference_cases
+from test_qpsolver_degenerate import reference_cases
 
 
 def solve(p, x, guess=None, rows=None):
     x = np.asarray(x, dtype=float)
     if guess is not None:
         guess = np.asarray(guess, dtype=np.intp)
-    return qpsolver._solve(p, x, p.rhs(x), rows, guess=guess)
+    return qpsolver._solve(p, x, rows, guess=guess)
 
 
 def four_rows():
@@ -42,15 +43,14 @@ def test_proved_guess_settles_without_nnls(monkeypatch):
     p = four_rows()
     want = solve(p, X)
     seen = nnls_spy(monkeypatch)
-    sol, gz, active, path = solve(p, X, [0, 1])
+    sol, active, path = solve(p, X, [0, 1])
     assert seen == [] and path == "guess"
     assert active.tolist() == [0, 1]
     assert np.array_equal(sol.z_star, [0.0, -2.0])
     assert np.allclose(sol.z_star, want[0].z_star, rtol=0.0, atol=1e-12)
-    assert np.array_equal(gz, p.G @ sol.z_star)
     assert sol.iterations == 3
     # over a row subset the multipliers align with the subset
-    sol, _, active, path = solve(p, X, [0, 1], rows=np.array([0, 1, 2]))
+    sol, active, path = solve(p, X, [0, 1], rows=np.array([0, 1, 2]))
     assert path == "guess" and active.tolist() == [0, 1]
     assert np.allclose(sol.lam, [1.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
 
@@ -62,22 +62,21 @@ def test_wrong_guess_falls_through_to_nnls(monkeypatch, guess):
     # [2] holds a row z0 meets: its multiplier is -4; [0] leaves row 1
     # violated; [0, 3] repeats a row, so its Gram matrix is singular
     p = four_rows()
-    want, want_gz, want_active, want_path = solve(p, X)
+    want, want_active, want_path = solve(p, X)
     assert want_path == "nnls"
     seen = nnls_spy(monkeypatch)
-    sol, gz, active, path = solve(p, X, guess)
+    sol, active, path = solve(p, X, guess)
     assert len(seen) >= 1 and path == "nnls"
     assert np.array_equal(sol.z_star, want.z_star)
     assert np.array_equal(sol.lam, want.lam)
     assert sol.iterations == want.iterations
-    assert np.array_equal(gz, want_gz)
     assert np.array_equal(active, want_active)
 
 
 def test_guess_is_not_tried_when_z0_is_feasible(monkeypatch):
     p = four_rows()
     seen = nnls_spy(monkeypatch)
-    sol, _, active, path = solve(p, [1.0, 3.0], [0, 1])
+    sol, active, path = solve(p, [1.0, 3.0], [0, 1])
     assert path == "z0" and active.size == 0 and seen == []
     assert np.array_equal(sol.z_star, [-1.0, -3.0])
 
@@ -112,13 +111,12 @@ def test_any_guess_gives_the_unguessed_answer(seed, n_z, n_x, n_c, scale,
     # row subsets are infeasible and some guesses dependent
     rng = np.random.default_rng(seed)
     q, x, subsets = reference_cases(rng, n_z, n_x, n_c, scale, spread)
-    b = q.rhs(x)
     for idx in subsets:
         rows = None if idx is None else idx.zero_based()
         solved = np.arange(q.n_c) if rows is None else rows
-        want, _, active, _ = qpsolver._solve(q, x, b, rows)
+        want, active, _ = qpsolver._solve(q, x, rows)
         for guess in guesses(rng, solved, active):
-            sol, _, got, path = qpsolver._solve(q, x, b, rows, guess=guess)
+            sol, got, path = qpsolver._solve(q, x, rows, guess=guess)
             assert sol.status == want.status
             if want.z_star is None:
                 assert sol.z_star is None
@@ -148,14 +146,9 @@ def test_shifted_guess_cuts_nnls_calls(monkeypatch):
     seen = nnls_spy(monkeypatch)
     guessed = [simulate(sc, x0, STEPS) for x0 in starts]
     assert len(seen) == 123
-    real = closedloop._solve
-    monkeypatch.setattr(
-        closedloop, "_solve",
-        lambda p, x, b, rows, max_iter=None, guess=None:
-            real(p, x, b, rows, max_iter))
-    seen.clear()
+    solves = solve_spy(monkeypatch, withhold_guess=True)
     unguessed = [simulate(sc, x0, STEPS) for x0 in starts]
-    assert len(seen) == 427
+    assert sum(len(c.nnls) for c in solves) == 427
     for a, c in zip(guessed, unguessed):
         assert np.array_equal(a.inputs(), c.inputs())
         assert [r.iterations for r in a.records] == [
@@ -172,29 +165,18 @@ def test_shifted_guess_never_misses(monkeypatch, name, mode):
     sc = scenario_from_dict(make())
     offline = (None if spacing is None
                else build_offline_dataset(sc, spacing=spacing))
-    seen = nnls_spy(monkeypatch)
-    solves = []
-    real = closedloop._solve
-
-    def spy(p, x, b, rows, max_iter=None, guess=None):
-        first = len(seen)
-        out = real(p, x, b, rows, max_iter, guess)
-        solves.append((guess is not None and len(guess) > 0,
-                       len(seen) - first))
-        return out
-
-    monkeypatch.setattr(closedloop, "_solve", spy)
+    solves = solve_spy(monkeypatch)
     paths = []
     for x0 in draw_initial_states(sc, n_starts, seed):
         trace = simulate(sc, x0, STEPS, mode=mode, offline=offline)
         paths += [r.path for r in trace.records]
     assert len(paths) == len(solves)
-    misses = sum(g and path == "nnls"
-                 for (g, _), path in zip(solves, paths))
+    guessed = [c.guess is not None and len(c.guess) > 0 for c in solves]
+    misses = sum(g and path == "nnls" for g, path in zip(guessed, paths))
     assert misses == 0
     assert paths.count("guess") > 0
-    for (g, calls), path in zip(solves, paths):
-        assert (calls > 0) == (path == "nnls")
+    for c, g, path in zip(solves, guessed, paths):
+        assert (len(c.nnls) > 0) == (path == "nnls")
         assert g or path != "guess"
 
 
@@ -203,16 +185,10 @@ def test_trimmed_guess_holds_only_kept_rows(monkeypatch):
     # state, shifted active rows included; the solve must get only the
     # kept ones (the loop may then drift off the full trajectory and stop)
     sc, starts = masses3()
-    guesses = []
-    real = closedloop._solve
-
-    def spy(p, x, b, rows, max_iter=None, guess=None):
-        if guess is not None:
-            guesses.append(np.isin(guess, rows).all())
-        return real(p, x, b, rows, max_iter, guess)
-
-    monkeypatch.setattr(closedloop, "_solve", spy)
+    solves = solve_spy(monkeypatch)
     for x0 in starts[:12]:
         with contextlib.suppress(InfeasibleAtStep):
             simulate(sc, x0, STEPS, mode="adaptive-online", kappa=0.0)
-    assert len(guesses) > 0 and all(guesses)
+    guessed = [np.isin(c.guess, c.rows).all() for c in solves
+               if c.guess is not None]
+    assert len(guessed) > 0 and all(guessed)
