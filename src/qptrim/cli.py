@@ -19,6 +19,7 @@ from . import verify
 from .bench import CSV_HEADER, BenchConfig, run_bench
 from .closedloop import (
     MODES,
+    InfeasibleAtStep,
     build_offline_dataset,
     default_offline_spacing,
     simulate,
@@ -65,8 +66,8 @@ def _load_scenario(spec: str) -> dict:
     name = spec.replace("_", "-")
     if name == "double-integrator":
         return gen_double_integrator()
-    if name.startswith("masses-"):
-        return gen_oscillating_masses(int(name.split("-", 1)[1]))
+    if name.startswith("masses-") and name[7:].isdigit() and int(name[7:]) > 1:
+        return gen_oscillating_masses(int(name[7:]))
     raise SystemExit(f"no file or builtin scenario named {spec!r}")
 
 
@@ -93,13 +94,23 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _kappa_arg(text: str) -> str:
-    """argparse type of --kappa: the spec unchanged, or a usage error."""
-    try:
-        check_kappa_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+def _checked(parse, ok, what: str):
+    """argparse type: parse(text); a usage error if that or ok fails."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
+
+
+# a --kappa spec, kept as text for resolve_kappa
+_KAPPA = _checked(str, lambda t: check_kappa_spec(t) is None,
+                  "a finite number >= 0, 'formula' or 'scaled-formula'")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +205,7 @@ def cmd_mpc_sim(args) -> int:
 def cmd_bench(args) -> int:
     config = BenchConfig(
         scenario=_load_scenario(args.scenario),
-        modes=tuple(args.modes.split(",")),
+        modes=args.modes,
         n_draws=args.draws,
         steps=args.steps,
         seed=args.seed,
@@ -236,6 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output file (bench: output directory)")
 
+    trim_flags = argparse.ArgumentParser(add_help=False)
+    trim_flags.add_argument("--kappa", default="scaled-formula", type=_KAPPA,
+                            help=KAPPA_HELP)
+    trim_flags.add_argument("--offline-spacing", default=None, type=_checked(
+        float, lambda s: 0.0 < s < np.inf, "a finite positive number"))
+
     parser = argparse.ArgumentParser(
         prog="qptrim",
         description="Constraint trimming for mp-QPs and linear MPC.",
@@ -262,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", required=True,
                     help="JSON array of solved samples")
     sp.add_argument("-x", required=True, help="query parameter vector")
-    sp.add_argument("--kappa", required=True, type=_kappa_arg,
+    sp.add_argument("--kappa", required=True, type=_KAPPA,
                     help=KAPPA_HELP)
     sp.add_argument("--assume-licq", action="store_true",
                     help="fold every sample instead of trimming against the "
@@ -287,26 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario", help="scenario JSON file or builtin name")
     sp.set_defaults(func=cmd_invariant_set)
 
-    sp = sub.add_parser("mpc-sim", parents=[common],
+    sp = sub.add_parser("mpc-sim", parents=[common, trim_flags],
                         help="closed-loop run, one JSON line per step")
     sp.add_argument("scenario")
     sp.add_argument("--x0", required=True, help="initial state")
-    sp.add_argument("--steps", type=int, default=100)
+    sp.add_argument("--steps", default=100, type=_checked(
+        int, lambda n: n >= 0, "an integer >= 0"))
     sp.add_argument("--mode", choices=MODES, default="full")
-    sp.add_argument("--kappa", default="scaled-formula", type=_kappa_arg,
-                    help=KAPPA_HELP)
-    sp.add_argument("--offline-spacing", type=float, default=None)
     sp.set_defaults(func=cmd_mpc_sim)
 
-    sp = sub.add_parser("bench", parents=[common],
+    sp = sub.add_parser("bench", parents=[common, trim_flags],
                         help="run modes against the full baseline")
     sp.add_argument("scenario")
-    sp.add_argument("--modes", default="full,adaptive-online")
-    sp.add_argument("--draws", type=int, default=20)
-    sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--kappa", default="scaled-formula", type=_kappa_arg,
-                    help=KAPPA_HELP)
-    sp.add_argument("--offline-spacing", type=float, default=None)
+    sp.add_argument("--modes", default=("full", "adaptive-online"),
+                    type=_checked(lambda t: tuple(t.split(",")),
+                                  lambda ms: set(ms) <= set(MODES),
+                                  "a list of modes from " + ",".join(MODES)))
+    for flag, default in (("--draws", 20), ("--steps", 100)):
+        sp.add_argument(flag, default=default, type=_checked(
+            int, lambda n: n >= 1, "an integer >= 1"))
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("verify", parents=[common],
@@ -322,7 +338,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.seed = getattr(args, "seed", 0)
     args.out = getattr(args, "out", None)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:   # an input or output file that cannot be used
+        raise SystemExit(str(exc)) from None
+    except InfeasibleAtStep as exc:
+        raise SystemExit(f"{args.command} stopped infeasible at {exc}") from None
 
 
 if __name__ == "__main__":

@@ -136,8 +136,8 @@ def simulate(
     infinite or negative kappa raises ValueError before step 0.
 
     A trimmed step computes b = S x + w for its trim; the solve forms its
-    own b only when z0 fails the fused first check, so a solve that ends
-    there forms neither b nor G z0 (see qpsolver). In adaptive-online and
+    own b again only past its first check, for its band, and G z0 only
+    near the band's edge (see qpsolver). In adaptive-online and
     hybrid, the modes that trim against the loop's own sample, each step
     then forms G z = p.G @ z after the input is out, keeps b - G z, the
     full rows' slack vector, and reads its active set from it; b is formed
@@ -160,15 +160,12 @@ def simulate(
     Every step after the first hands the solve a guessed active set: the
     rows W the last solve was settled on, each mapped by the scenario's
     row_shift to its row one stage earlier (the rows the shifted plan
-    holds), in trimmed modes only those kept. The solve tries the guess
-    only when z0 fails its first check, and returns its minimizer only
-    when KKT proves it: a Gram matrix that factors, multipliers >= 0,
-    every solved row met and the guessed rows met as equalities; otherwise
-    it runs nnls, so a wrong guess changes no output. After a solve with
-    an active terminal row the next step gets no guess: the shifted plan
-    is then seldom optimal, while with the terminal rows inactive the
-    solution is the constrained LQR one and its shift stays optimal
-    (Scokaert & Rawlings 1998).
+    holds), in trimmed modes only those kept. The solve keeps the guess
+    only when KKT proves it (see qpsolver), so a wrong guess changes no
+    output. After a solve with an active terminal row the next step gets
+    no guess: the shifted plan is then seldom optimal, while with the
+    terminal rows inactive the solution is the constrained LQR one and its
+    shift stays optimal (Scokaert & Rawlings 1998).
     StepRecord.wall_time runs from the state to the input, trim included;
     t_trim and t_solve split it, and StepRecord.path names the branch that
     settled the solve.

@@ -15,6 +15,8 @@ from .tolerances import IMPLIED
 # Riccati value iteration stops once an iterate changes by at most this,
 # relative to the iterate's largest entry
 _DARE_TOL = 1e-12
+# Riccati value iterations tried before the fixed point is given up
+_DARE_MAX_ITER = 100_000
 # powers of the closed loop tried before the invariant set is given up
 _MAX_POWERS = 500
 
@@ -46,11 +48,12 @@ def _check_pd(name, a):
         raise ValueError(f"{name} must be symmetric positive definite: {exc}")
 
 
-def dare(A, B, Q, R, max_iter: int = 100_000) -> np.ndarray:
+def dare(A, B, Q, R) -> np.ndarray:
     """Discrete-time algebraic Riccati solution by value iteration from Q.
 
     Stops when the iterate changes by at most _DARE_TOL (scaled); the
-    returned P has a Riccati residual of at most ~10x that.
+    returned P has a Riccati residual of at most ~10x that. Raises
+    NoConvergence after _DARE_MAX_ITER iterations or on overflow.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -59,18 +62,20 @@ def dare(A, B, Q, R, max_iter: int = 100_000) -> np.ndarray:
     _check_pd("Q", Q)
     _check_pd("R", R)
     P = Q.copy()
-    change = np.inf
-    for _ in range(max_iter):
+    for k in range(_DARE_MAX_ITER):
         BtP = B.T @ P
         gain = np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = A.T @ P @ A - A.T @ P @ B @ gain + Q
-        P_next = 0.5 * (P_next + P_next.T)
-        change = np.abs(P_next - P).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            P_next = A.T @ P @ A - A.T @ P @ B @ gain + Q
+            P_next = 0.5 * (P_next + P_next.T)
+            change = np.abs(P_next - P).max()
+        if not np.isfinite(change):   # P is finite, so P_next overflowed
+            break
         if change <= _DARE_TOL * (1.0 + np.abs(P_next).max()):
             return P_next
         P = P_next
     raise NoConvergence(
-        f"no fixed point after {max_iter} iterations "
+        f"no fixed point after {k + 1} iterations "
         f"(last change {change:.3e}); is (A, B) stabilizable?"
     )
 

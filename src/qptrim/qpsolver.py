@@ -10,55 +10,45 @@ ch. 23) solve it by one nonnegative least-squares problem,
     min_{u >= 0} || [E_I'; h_I'] u + e ||,   e = (0, ..., 0, 1),
 
 which scipy.optimize.nnls runs compiled; Bemporad (2016, IEEE TAC 61(4))
-applies the reduction to embedded MPC. When z0 already satisfies every
-solved row, no nnls problem is formed. The first check reads that from
-one cached product, b - G z0 = (S + G H^-1 F') x + w (MpQp.slack_map),
-and returns z0 when no solved row has a negative slack there, forming
-neither b = S x + w nor G z0. A state it passes over pays for both: the
-solver forms h = b - G z0 from them and allows every row a violation of
+applies the reduction to embedded MPC. Every branch reads h as one cached
+product, (S + G H^-1 F') x + w (MpQp.slack_map). When no solved row of h
+is negative the solver returns z0, with no b = S x + w formed. Past that
+it returns z0 when no solved row of b - G z0 is violated beyond the band
 tolerances.feas_tol(b) = FEAS * (1 + max|b|), the package's one
-feasibility rule, before it calls z0 infeasible. The two slacks differ
-by rounding of order eps (|S x| + |w| + |G z0|), at most 5.3e-15 on the
-loop golden's MPC problems against a band of at least FEAS, so the
-strict check settles no state that the band check would not, and every
-later branch sees the same h as without it. Otherwise the solver divides
+feasibility rule; h rounds apart from b - G z0 far inside one band, so
+G z0 is formed only when h lies within two bands. Otherwise it divides
 h by its largest violation distance s = max_i -h_i / ||E_i||, so that
-||y|| >= 1 at any scale of x, H, F or the rows. The residual norm is then
-1 / sqrt(1 + ||y||^2) when the rows are feasible and vanishes when they
-are not.
+||y|| >= 1 at any scale of x, H, F or the rows; the residual norm is
+then 1 / sqrt(1 + ||y||^2) when the rows are feasible and vanishes when
+they are not.
 
 nnls's cost grows with its columns, and few rows end active, so nnls
 first sees only the seed: the rows whose boundary meets the H-metric ball
-of radius s around z0, h_i / ||E_i|| < s. That holds every violated row.
-A row with E_i = 0 enters only when it is violated by more than
-FEAS * (1 + max|b|), the band the first check allows every row.
-The rows with a positive u are the active rows W, and the solver reads
-the minimizer from them rather than from nnls's y: it solves
-(G_W H^-1 G_W') lam_W = G_W z0 - b_W and sets z = z0 - H^-1 G_W' lam_W,
+of radius s around z0, h_i / ||E_i|| < s, which holds every violated row;
+a row with E_i = 0 enters only when it is violated beyond the band. The
+rows with a positive u are the active rows W, and the solver reads the
+minimizer from them rather than from nnls's y: it solves
+(G_W H^-1 G_W') lam_W = -h_W and sets z = z0 - dz, dz = H^-1 G_W' lam_W,
 so the active rows hold to rounding and a tie at a vertex stays exact.
-Every solved row is then checked against the G z this forms. Rows that
-nnls did not see and that z violates by more than FEAS * (1 + max|b|)
-join its rows, and nnls runs again; a violated row that nnls saw outside
-W raises ArithmeticError, as the dual loop's last check required. The
-returned z minimizes over a row subset that holds its active rows and
-meets every solved row, so by KKT it is the minimizer over all of them;
-an infeasible subset makes the whole set infeasible.
+Every solved row is then checked at its slack b - G z = h + G dz. Rows
+that nnls did not see and that z violates beyond the band join its rows,
+and nnls runs again; a violated row that nnls saw outside W raises
+ArithmeticError, as the dual loop's last check required. The returned z
+minimizes over a row subset that holds its active rows and meets every
+solved row, so by KKT it is the minimizer over all of them; an infeasible
+subset makes the whole set infeasible.
 
 The closed loop can also hand the solver a guess of W (Ferreau, Bock and
 Diehl 2008, IJRNC 18, warm-start the active set from the last solve).
 When z0 fails the first check, the solver runs the same re-solve on the
 guessed rows and returns its z only when KKT proves it: the Gram matrix
-factors, every multiplier is >= 0, every solved row holds to
-FEAS * (1 + max|b|), and so do the guessed rows as equalities, which a
-nearly dependent guess can miss through rounding. A right guess then
-settles the solve with one |W| x |W| solve and no nnls call, and its z is
-bitwise the one nnls's W would give when the two sets agree; a wrong
-guess costs that solve and falls through to nnls, so it changes nothing.
-The public solver takes no guess and reports no active set;
-solve_sample reads one as MpQp.active_set(x, z) at its minimizer. Every
-solve forms its own b and hands back only its answer, the active rows it
-was solved on and the branch that settled it; a caller that needs G z
-forms it.
+factors, every multiplier is >= 0, every solved row holds to the band,
+and so do the guessed rows as equalities, which a nearly dependent guess
+can miss through rounding. A right guess settles the solve with one
+|W| x |W| solve and no nnls call, and its z is bitwise the one nnls's W
+would give; a wrong guess costs that solve and changes nothing. The
+public solver takes no guess and reports no active set; solve_sample
+reads one as MpQp.active_set(x, z) at its minimizer.
 """
 
 from dataclasses import dataclass
@@ -97,23 +87,18 @@ class QpSolution:
 
 
 def qp_solve(p: MpQp, x, idx: IndexSet | None = None) -> QpSolution:
-    """Solve the trimmed QP at parameter x over constraint subset idx.
+    """Solve the trimmed QP at parameter x over constraint subset idx,
+    cold from the unconstrained minimizer z0 (see the module docstring).
 
-    Every solve starts cold, at the unconstrained minimizer. When no kept
-    row is violated there by more than FEAS * (1 + max|b|) over the kept
-    right-hand sides b, it is the answer and `iterations` is 1. Otherwise
-    nnls runs on the kept rows within the largest violation distance of
-    z0, and again, with the rows its minimizer violates added, until that
-    minimizer meets every kept row (see the module docstring).
-    `iterations` is 1 plus the number of active rows the last nnls call
-    finds; on an INFEASIBLE solve those are rows of whichever subset that
-    call saw, so the count depends on the seed. An nnls call that reaches
-    its cap of 50 (n_z + n) + 100 iterations, n the number of kept rows,
-    raises ArithmeticError, as does a minimizer that violates a row nnls
-    saw outside its active rows. A NaN or infinite parameter raises
+    `iterations` is 1 when z0 is the answer, as it is for an empty idx,
+    else 1 plus the number of active rows the last nnls call finds; on an
+    INFEASIBLE solve those are rows of whichever subset that call saw, so
+    the count depends on the seed. An nnls call that reaches its cap of
+    50 (n_z + n) + 100 iterations, n the number of kept rows, raises
+    ArithmeticError, as does a minimizer that violates a row nnls saw
+    outside its active rows. A NaN or infinite parameter raises
     ValueError, as does one whose length is not n_x, and so does an index
-    above n_c. An empty idx returns the unconstrained minimizer with
-    iterations = 1.
+    above n_c.
     """
     x = p.parameter(x)
     rows = None
@@ -134,37 +119,28 @@ def _solve(p: MpQp, x, rows, guess=None):
     minimizer was solved on: empty when z0 passes the first check, None
     when infeasible. path names the branch that settled the solve: "z0"
     at the first check, "guess" when KKT proves the guess, "nnls"
-    otherwise. The first check reads the fused slack slack_map @ x + w
-    and returns z0 when no solved row of it is negative, forming neither
-    b = S x + w nor G z0; only past it does the solve form b and
-    h = b - G z0, and it returns z0 when no solved row of h is violated
-    beyond the band FEAS * (1 + max|b|). The guess is tried only after
-    both fail. It is accepted only when its Gram matrix factors, every
-    multiplier is >= 0, every solved row holds to FEAS * (1 + max|b|) and
-    the guessed rows hold as equalities to the same band; the minimizer is
-    then bitwise the one the nnls branch would form from the same rows. A
-    wrong guess costs that one Gram solve and changes nothing else."""
+    otherwise. Every branch reads one slack, h = slack_map @ x + w over
+    the solved rows; b = S x + w is formed only past a strict z0 check,
+    and G z0 only for a state whose h lies within two bands."""
     z0 = -p.hi_ft @ x
-    # b - G z0 in one product, checked strictly, so it settles only states
-    # that the band test on b - G z0 below would settle too
-    fused = p.slack_map @ x + p.w
-    if (fused if rows is None else fused[rows]).min(initial=0.0) >= 0.0:
-        n = p.n_c if rows is None else len(rows)
-        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
-    b = p.rhs(x)
-    gz = p.G @ z0
-    if rows is None:
-        h, b_rows = b - gz, b
-    else:
-        h, b_rows = b[rows] - gz[rows], b[rows]
-    feas_slack = feas_tol(b_rows)
+    h = p.slack_map @ x + p.w
+    if rows is not None:
+        h = h[rows]
     n = len(h)
-    if h.min(initial=0.0) >= -feas_slack:
+    if h.min(initial=0.0) >= 0.0:
+        return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
+    if rows is None:
+        rows = np.arange(p.n_c)
+    b = p.rhs(x)[rows]
+    feas_slack = feas_tol(b)
+    # the band is a rule on b - G z0, which h matches far inside one band
+    if h.min() >= -2.0 * feas_slack and (
+            b - (p.G @ z0)[rows]).min() >= -feas_slack:
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
     if guess is not None and len(guess):
-        work = guess if rows is None else np.searchsorted(rows, guess)
+        work = np.searchsorted(rows, guess)
         try:
-            lam_w, z, slack = _held(p, z0, h, b_rows, rows, work, guess)
+            lam_w, z, slack = _held(p, z0, h, rows, work)
         except np.linalg.LinAlgError:
             pass
         else:
@@ -177,7 +153,7 @@ def _solve(p: MpQp, x, rows, guess=None):
     # h over the largest violation distance max_i -h_i / ||E_i|| makes
     # ||y|| >= 1, whatever the scale of x, H, F or the rows; a violated
     # row with E_i = 0 leaves nothing to scale by and no point meets it
-    norms = np.sqrt(p.g_quads if rows is None else p.g_quads[rows])
+    norms = np.sqrt(p.g_quads[rows])
     live = norms > 0.0
     scale = (-h[live] / norms[live]).max(initial=0.0)
     if scale <= 0.0:
@@ -191,18 +167,16 @@ def _solve(p: MpQp, x, rows, guess=None):
     e[-1] = -1.0
     while True:
         cols = seen.nonzero()[0]
-        E = p.g_lt[cols if rows is None else rows[cols]]
         try:
-            u, resid = nnls(np.vstack([E.T, h[cols] / scale]), e,
-                            maxiter=50 * (p.n_z + n) + 100)
+            u, resid = nnls(np.vstack([p.g_lt[rows[cols]].T, h[cols] / scale]),
+                            e, maxiter=50 * (p.n_z + n) + 100)
         except RuntimeError as exc:
             raise ArithmeticError(f"nnls iteration limit: {exc}") from exc
         work = cols[u.nonzero()[0]]
         if resid <= VANISHED:
             return (QpSolution(None, None, INFEASIBLE, 1 + len(work)), None,
                     "nnls")
-        held = work if rows is None else rows[work]
-        lam_w, z, slack = _held(p, z0, h, b_rows, rows, work, held)
+        lam_w, z, slack = _held(p, z0, h, rows, work)
         # W holds only to the rounding of the Gram solve
         slack[work] = 0.0
         violated = slack < -feas_slack
@@ -212,20 +186,20 @@ def _solve(p: MpQp, x, rows, guess=None):
             raise ArithmeticError(
                 "nnls's active rows leave a solved row violated")
         seen |= violated
-    return _optimal(z, lam_w, n, work), held, "nnls"
+    return _optimal(z, lam_w, n, work), rows[work], "nnls"
 
 
-def _held(p: MpQp, z0, h, b_rows, rows, work, held):
-    """The minimizer with the solved rows at positions `work` (0-based rows
-    `held` of p) held as equalities: (G_W H^-1 G_W') lam_W = G_W z0 - b_W
-    and z = z0 - H^-1 G_W' lam_W. Returns lam_W, z and the solved rows'
-    slacks b - G z. A singular Gram matrix raises
-    numpy.linalg.LinAlgError."""
+def _held(p: MpQp, z0, h, rows, work):
+    """The minimizer with the solved rows at positions `work` of the
+    0-based rows `rows` held as equalities, h = b - G z0 over those rows:
+    (G_W H^-1 G_W') lam_W = -h_W, dz = H^-1 G_W' lam_W and z = z0 - dz.
+    Returns lam_W, z and the solved rows' slacks b - G z = h + (G dz)_rows.
+    A singular Gram matrix raises numpy.linalg.LinAlgError."""
+    held = rows[work]
     Yw = p.hi_gt[:, held]
     lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
-    z = z0 - Yw @ lam_w
-    gz = p.G @ z
-    return lam_w, z, b_rows - (gz if rows is None else gz[rows])
+    dz = Yw @ lam_w
+    return lam_w, z0 - dz, h + (p.G @ dz)[rows]
 
 
 def _optimal(z, lam_w, n, work) -> QpSolution:

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from qptrim import bench
 from qptrim.bench import (
     BenchConfig,
     BenchResult,
@@ -48,6 +49,23 @@ class TestRunBench:
             assert np.isfinite(r.time_pct) and r.time_pct > 0
             if r.mode == "full":
                 assert r.kept_pct == 100.0
+
+    def test_full_mode_reuses_the_baseline(self, monkeypatch):
+        # each draw is simulated once in full, as the baseline that the
+        # full mode then reports, and once per other mode
+        calls = []
+        real = bench.simulate
+
+        def spy(*args, **kw):
+            calls.append(kw.get("mode"))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(bench, "simulate", spy)
+        res = run_bench(small_config())
+        assert sorted(calls) == ["adaptive-online"] * 3 + ["full"] * 3
+        for r in res.rows:
+            if r.mode == "full":
+                assert r.time_pct == 100.0
 
     def test_adaptive_kept_reaches_zero(self):
         res = run_bench(small_config())

@@ -226,6 +226,38 @@ def test_bench_seed_determinism_and_outputs(tmp_path, capsys):
     assert list((out_dir / "traces").glob("*.jsonl"))
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["mpc-sim", "double-integrator", "--x0", "1,0", "--steps", "-1"], 2,
+     "argument --steps: '-1' is not an integer >= 0"),
+    (["mpc-sim", "double-integrator", "--x0", "100,0", "--steps", "3"], None,
+     "mpc-sim stopped infeasible at step 0: state violates"),
+    (["bench", "double-integrator", "--draws", "0"], 2,
+     "argument --draws: '0' is not an integer >= 1"),
+    (["bench", "double-integrator", "--modes", "full,bogus"], 2,
+     "argument --modes: 'full,bogus' is not a list of modes"),
+    (["mpc-sim", "double-integrator", "--x0", "0,0", "--mode",
+      "offline-nearest", "--offline-spacing", "-1"], 2,
+     "argument --offline-spacing: '-1' is not a finite positive number"),
+    (["solve", "missing.json", "-x", "1"], None,
+     "[Errno 2] No such file or directory: 'missing.json'"),
+    (["invariant-set", "masses-x"], None,
+     "no file or builtin scenario named 'masses-x'"),
+])
+def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv,
+                                       code, message):
+    # a bad flag value is a usage error (exit 2); a missing file, an
+    # unknown builtin or an infeasible start exits with one line naming it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    if code is None:
+        assert str(exc.value).startswith(message)
+        assert "\n" not in str(exc.value)
+    else:
+        assert exc.value.code == code
+        assert message in capsys.readouterr().err
+
+
 def test_bench_flags_equivalence_violation(capsys):
     # kappa forced to zero removes rows it must not; exit turns nonzero
     rc = main(["bench", "double-integrator", "--modes", "offline-nearest",

@@ -6,18 +6,24 @@ writes and reads floats by repr, so the file round-trips bit for bit).
 Regenerate the data file, only after a deliberate change of output, with
 
     PYTHONPATH=src python3 tests/test_loop_golden.py
+
+which first prints, for each case and mode, how many starts changed their
+inputs, kept counts or iterations against the file it overwrites, and the
+largest change of any input.
 """
 
 import functools
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from qptrim.bench import draw_initial_states
 from qptrim.closedloop import MODES, build_offline_dataset, simulate
 from qptrim.mpc import scenario_from_dict
 from qptrim.plants import gen_double_integrator, gen_oscillating_masses
+from oracles import reference_qp_solve
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "closed_loop_golden.json"
 STEPS = 25
@@ -70,5 +76,46 @@ def test_closed_loop_matches_golden(name):
         assert len(got[mode]) == len(want[mode])
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_inputs_are_the_full_minimizers(name):
+    # the file alone, whatever code wrote it: every trimmed mode's inputs
+    # are the full mode's bit for bit, and each full input is the
+    # reference loop's first block along the states the stored inputs
+    # roll forward from the stored starts
+    want = golden()[name]
+    full = [run[0] for run in want["full"]]
+    for mode in CASES[name][4]:
+        assert [run[0] for run in want[mode]] == full, mode
+    sc = scenario_from_dict(CASES[name][0]())
+    for k, (x0, inputs) in enumerate(zip(want["starts"], full)):
+        x = np.array(x0)
+        for t, u in enumerate(np.array(inputs)):
+            z = reference_qp_solve(sc.condensed, x)[0]
+            assert np.all(np.abs(z[:sc.m] - u) <= 1e-9 * (1.0 + np.abs(u))), (
+                f"start {k}, step {t}")
+            x = sc.A @ x + sc.B @ u
+
+
+def report_changes(old, new):
+    """One line per case and mode: how many starts changed their inputs,
+    kept counts or iterations between two goldens, and the largest |du|."""
+    for name in CASES:
+        for mode in CASES[name][4]:
+            if name not in old or mode not in old[name]:
+                print(f"{name} {mode}: new")
+                continue
+            pairs = list(zip(old[name][mode], new[name][mode]))
+            changed = [sum(o[i] != g[i] for o, g in pairs) for i in range(3)]
+            du = max((np.abs(np.subtract(g[0], o[0])).max(initial=0.0)
+                      for o, g in pairs
+                      if np.shape(g[0]) == np.shape(o[0])), default=0.0)
+            print(f"{name} {mode}: {len(pairs)} starts, changed inputs "
+                  f"{changed[0]}, kept counts {changed[1]}, iterations "
+                  f"{changed[2]}; max |du| {du:.3g}")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: record(name) for name in CASES}) + "\n")
+    fresh = {name: record(name) for name in CASES}
+    if GOLDEN.exists():
+        report_changes(golden(), fresh)
+    GOLDEN.write_text(json.dumps(fresh) + "\n")

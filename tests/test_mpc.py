@@ -74,7 +74,7 @@ class TestDare:
 
     def test_unstabilizable_raises(self):
         with pytest.raises(NoConvergence):
-            dare([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=200)
+            dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
     def test_indefinite_q_rejected(self):
         with pytest.raises(ValueError):
