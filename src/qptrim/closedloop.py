@@ -19,7 +19,7 @@ import numpy as np
 from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
 from .mpqp import IndexSet, MpQp, SolvedSample
-from .qpsolver import _sample, _solve
+from .qpsolver import _NO_ROWS, _sample, _solve, _unconstrained
 from .tolerances import FEAS, feas_tol
 from .trim import _kept_mask, check_kappa, check_sample, nearest_index
 
@@ -60,10 +60,11 @@ class StepRecord:
     u: np.ndarray
     kept_count: int
     iterations: int      # 1, plus |W| when z0 failed the first check
-    wall_time: float
+    wall_time: float     # from the state to the input
     mode: str
-    t_trim: float        # choosing the kept rows; 0 on a full step
-    t_solve: float       # the QP solve
+    t_trim: float        # choosing the kept rows; 0 on a full step, and
+                         # after the input on one settled at the first check
+    t_solve: float       # the QP solve, its all-rows first check included
     path: str            # the branch that settled it: "z0", "guess" or "nnls"
 
     def to_dict(self) -> dict:
@@ -135,13 +136,17 @@ def simulate(
     certified constant where its enumeration is affordable. A NaN,
     infinite or negative kappa raises ValueError before step 0.
 
-    A trimmed step computes b = S x + w for its trim; the solve forms its
-    own b again only past its first check, for its band, and G z0 only
-    near the band's edge (see qpsolver). In adaptive-online and
-    hybrid, the modes that trim against the loop's own sample, each step
-    then forms G z = p.G @ z after the input is out, keeps b - G z, the
-    full rows' slack vector, and reads its active set from it; b is formed
-    there too on the full step 0. The other modes keep neither. A trimmed
+    Every step first forms the unconstrained minimizer z0 and its slack
+    slack_map @ x + w over every row (qpsolver's first check). When no row
+    of it is negative, z0 is the full problem's minimizer and so the
+    minimizer over every kept subset: the step returns z0 at once, and a
+    trimmed step runs its trim only after the input is out, for its kept
+    count and own triple. Otherwise the step forms b = S x + w once, for
+    its trim and for the solve's band, and hands the solve z0, the slack
+    and b. In adaptive-online and hybrid, the modes that trim against the
+    loop's own sample, each step then forms G z = p.G @ z after the input
+    is out, keeps b - G z, the full rows' slack vector, and reads its
+    active set from it. The other modes keep neither. A trimmed
     step hands b and one (x_hat, G z*, active mask) triple per sample to
     the removal fold trim._kept_mask, which tests every row against
     b - G z*, bitwise the values p.slacks(x', z*) gives. The
@@ -166,9 +171,11 @@ def simulate(
     no guess: the shifted plan is then seldom optimal, while with the
     terminal rows inactive the solution is the constrained LQR one and its
     shift stays optimal (Scokaert & Rawlings 1998).
-    StepRecord.wall_time runs from the state to the input, trim included;
-    t_trim and t_solve split it, and StepRecord.path names the branch that
-    settled the solve.
+    StepRecord.wall_time runs from the state to the input. t_solve and,
+    on a step whose solve goes past the all-rows check, t_trim split it. On
+    a trimmed step settled at that check, t_trim is measured after the
+    input and lies outside wall_time. StepRecord.path names the branch
+    that settled the solve.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -201,6 +208,32 @@ def simulate(
     # the modes that trim against the loop's own last sample
     keeps_own = mode in ("adaptive-online", "hybrid")
     own = slack_prev = b_prev = None  # last step's triple, slack and b
+
+    def trim(k, x, b):
+        """The kept-row mask at state x, b = S x + w."""
+        samples = []
+        if keeps_own:
+            # the loop's own sample: its active set holds by construction;
+            # only its feasibility is left to check, and max|b| is formed
+            # only past FEAS, the band's floor
+            worst = slack_prev.min(initial=0.0)
+            if worst < -FEAS and worst < -feas_tol(b_prev):
+                j = int(np.argmin(slack_prev))
+                fail(k, f"previous solution violates row {j + 1}: "
+                        f"slack {slack_prev[j]:.3e}")
+            samples.append(own)
+        if mode != "adaptive-online":
+            sample = offline.nearest(x)
+            triple, licq = triples[id(sample)]
+            samples.append(triple)
+        if mode == "hybrid" and not (
+                licq and p.licq_holds(IndexSet.from_mask(own[2]))):
+            # dependent active rows: trim against the nearer sample alone,
+            # as trim_multi does without the LICQ assertion
+            pair = np.array([own[0], sample.x_hat])
+            samples = [samples[nearest_index(pair, x)]]
+        return _kept_mask(p, kappa, x, b, samples)
+
     guess = None              # last solve's active rows, one stage earlier
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
@@ -208,59 +241,56 @@ def simulate(
         ):
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
-        step_mode = "full" if k == 0 else mode
-        b = rows = None
-        if step_mode != "full":
+        trims = k > 0 and mode != "full"
+        z, h = _unconstrained(p, x)
+        settled = h.min(initial=0.0) >= 0.0
+        b = None
+        kept_count, t_trim = p.n_c, 0.0
+        if settled:
+            # z0 meets every row, so it minimizes over every kept subset:
+            # the input goes out before the trim
+            iterations, active, path = 1, _NO_ROWS, "z0"
+            t_solve = time.perf_counter() - t0
+        else:
+            t1 = time.perf_counter()
             b = p.rhs(x)
-            samples = []
-            if keeps_own:
-                # the loop's own sample: its active set holds by
-                # construction; only its feasibility is left to check, and
-                # max|b| is formed only past FEAS, the band's floor
-                worst = slack_prev.min(initial=0.0)
-                if worst < -FEAS and worst < -feas_tol(b_prev):
-                    j = int(np.argmin(slack_prev))
-                    fail(k, f"previous solution violates row {j + 1}: "
-                            f"slack {slack_prev[j]:.3e}")
-                samples.append(own)
-            if mode != "adaptive-online":
-                sample = offline.nearest(x)
-                triple, licq = triples[id(sample)]
-                samples.append(triple)
-            if mode == "hybrid" and not (
-                    licq and p.licq_holds(IndexSet.from_mask(own[2]))):
-                # dependent active rows: trim against the nearer sample
-                # alone, as trim_multi does without the LICQ assertion
-                pair = np.array([own[0], sample.x_hat])
-                samples = [samples[nearest_index(pair, x)]]
-            kept = _kept_mask(p, kappa, x, b, samples)
-            rows = kept.nonzero()[0]
-            if guess is not None:
-                guess = guess[kept[guess]]
-        t1 = time.perf_counter()
-        sol, active, path = _solve(p, x, rows, guess=guess)
-        t2 = time.perf_counter()
-        if not sol.is_optimal:
-            fail(k, f"QP solve returned {sol.status}")
-        u = sol.z_star[:m].copy()
+            rows = None
+            if trims:
+                kept = trim(k, x, b)
+                rows = kept.nonzero()[0]
+                kept_count = len(rows)
+                if guess is not None:
+                    guess = guess[kept[guess]]
+                t_trim = time.perf_counter() - t1
+            sol, active, path = _solve(p, x, rows, guess, (z, h, b))
+            t_solve = time.perf_counter() - t0 - t_trim
+            if not sol.is_optimal:
+                fail(k, f"QP solve returned {sol.status}")
+            z, iterations = sol.z_star, sol.iterations
+        u = z[:m].copy()
         wall = time.perf_counter() - t0
+        if settled and trims:
+            # the kept count and, below, the next own triple
+            t1 = time.perf_counter()
+            b = p.rhs(x)
+            kept_count = np.count_nonzero(trim(k, x, b))
+            t_trim = time.perf_counter() - t1
         if keeps_own:
             # the full rows' slacks and active set, for the next step's
             # trim; trimming keeps the minimizer, so re-reading activity
             # is exact
             if b is None:
                 b = p.rhs(x)
-            gz = p.G @ sol.z_star
+            gz = p.G @ z
             slack_prev, b_prev = b - gz, b
             own = (x, gz, np.abs(slack_prev) <= p.act_band)
         guess = None
         if len(active) and not scenario.terminal_rows[active].any():
             guess = scenario.row_shift[active]
             guess = guess[guess >= 0]
-        records.append(StepRecord(
-            k, x.copy(), u, p.n_c if rows is None else len(rows),
-            sol.iterations, wall, step_mode,
-            0.0 if rows is None else t1 - t0, t2 - t1, path))
+        records.append(StepRecord(k, x.copy(), u, kept_count, iterations,
+                                  wall, mode if trims else "full", t_trim,
+                                  t_solve, path))
         x = scenario.A @ x + scenario.B @ u
     return ClosedLoopTrace(records, status="ok", meta=meta)
 

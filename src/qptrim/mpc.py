@@ -17,6 +17,11 @@ from .tolerances import IMPLIED
 _DARE_TOL = 1e-12
 # Riccati value iterations tried before the fixed point is given up
 _DARE_MAX_ITER = 100_000
+# an eigenvalue of A counts as on or outside the unit circle from this
+# modulus on: a computed unit-circle eigenvalue can round below 1 (masses-3
+# reads 1 - 4.4e-16), and an uncontrollable mode this slow would keep the
+# iteration from settling within _DARE_MAX_ITER anyway
+_UNIT_CIRCLE = 1.0 - 1e-6
 # powers of the closed loop tried before the invariant set is given up
 _MAX_POWERS = 500
 
@@ -53,7 +58,8 @@ def dare(A, B, Q, R) -> np.ndarray:
 
     Stops when the iterate changes by at most _DARE_TOL (scaled); the
     returned P has a Riccati residual of at most ~10x that. Raises
-    NoConvergence after _DARE_MAX_ITER iterations or on overflow.
+    NoConvergence before iterating when (A, B) fails the PBH test, after
+    _DARE_MAX_ITER iterations, or on overflow.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -61,6 +67,11 @@ def dare(A, B, Q, R) -> np.ndarray:
     R = np.atleast_2d(np.asarray(R, dtype=float))
     _check_pd("Q", Q)
     _check_pd("R", R)
+    lam = _unstabilizable_mode(A, B)
+    if lam is not None:
+        raise NoConvergence(
+            f"(A, B) is not stabilizable: [A - lam I, B] loses rank at "
+            f"the eigenvalue lam = {lam:.6g} (|lam| = {abs(lam):.6g})")
     P = Q.copy()
     for k in range(_DARE_MAX_ITER):
         BtP = B.T @ P
@@ -78,6 +89,21 @@ def dare(A, B, Q, R) -> np.ndarray:
         f"no fixed point after {k + 1} iterations "
         f"(last change {change:.3e}); is (A, B) stabilizable?"
     )
+
+
+def _unstabilizable_mode(A, B):
+    """An eigenvalue lam of A with |lam| >= _UNIT_CIRCLE at which
+    [A - lam I, B] has rank below n (the PBH test), or None. Rank is read
+    from the SVD at numpy's scaled tolerance, max(n, n + m) eps s_max.
+    A NaN or infinite A or B raises ValueError."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("A and B must be finite")
+    n = A.shape[0]
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) >= _UNIT_CIRCLE and np.linalg.matrix_rank(
+                np.hstack([A - lam * np.eye(n), B])) < n:
+            return lam
+    return None
 
 
 def lqr_gain(A, B, R, P) -> np.ndarray:

@@ -109,10 +109,20 @@ def qp_solve(p: MpQp, x, idx: IndexSet | None = None) -> QpSolution:
     return _solve(p, x, rows)[0]
 
 
-def _solve(p: MpQp, x, rows, guess=None):
+def _unconstrained(p: MpQp, x):
+    """The first check's two products at a finite x: the unconstrained
+    minimizer z0 = -H^-1 F' x and its slack over every row,
+    h = b - G z0 = slack_map @ x + w."""
+    return -p.hi_ft @ x, p.slack_map @ x + p.w
+
+
+def _solve(p: MpQp, x, rows, guess=None, formed=None):
     """qp_solve at a finite x over the 0-based rows `rows` (None: all
     rows), optionally with a guessed active set: the 0-based rows `guess`,
-    ascending, all of them in `rows`.
+    ascending, all of them in `rows`. `formed`, when given, is
+    (z0, h, b) over every row, as _unconstrained and p.rhs form them, with
+    a negative row in h; the closed loop hands in what its step has
+    already formed once z0 fails its all-rows check.
 
     Returns (solution, active rows W, path). closedloop.simulate guesses
     its next solve's active set from W. W holds the 0-based rows the
@@ -122,16 +132,16 @@ def _solve(p: MpQp, x, rows, guess=None):
     otherwise. Every branch reads one slack, h = slack_map @ x + w over
     the solved rows; b = S x + w is formed only past a strict z0 check,
     and G z0 only for a state whose h lies within two bands."""
-    z0 = -p.hi_ft @ x
-    h = p.slack_map @ x + p.w
+    z0, h, b = (*_unconstrained(p, x), None) if formed is None else formed
     if rows is not None:
         h = h[rows]
     n = len(h)
-    if h.min(initial=0.0) >= 0.0:
+    # a caller that hands in h has already found a negative row of it
+    if (formed is None or rows is not None) and h.min(initial=0.0) >= 0.0:
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
     if rows is None:
         rows = np.arange(p.n_c)
-    b = p.rhs(x)[rows]
+    b = (p.rhs(x) if b is None else b)[rows]
     feas_slack = feas_tol(b)
     # the band is a rule on b - G z0, which h matches far inside one band
     if h.min() >= -2.0 * feas_slack and (

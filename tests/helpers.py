@@ -5,7 +5,7 @@ and the feasible-parameter search are the release gate's own generators
 (qptrim.verify), imported under shorter names.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from qptrim import closedloop, qpsolver
 from qptrim.verify import _feasible_shift as random_feasible_x  # noqa: F401
@@ -27,29 +27,37 @@ def nnls_spy(monkeypatch):
 
 @dataclass
 class SolveCall:
-    """One solve of the closed loop: its problem, parameter, solved rows
+    """One step of the closed loop: its problem, parameter, solved rows
     (None: all), the guess it was handed and the matrices of the nnls calls
-    it made."""
+    it made; a step settled at the all-rows first check calls no solve and
+    keeps rows and guess None and nnls empty."""
 
     p: object
     x: object
-    rows: object
-    guess: object
-    nnls: list
+    rows: object = None
+    guess: object = None
+    nnls: list = field(default_factory=list)
 
 
 def solve_spy(monkeypatch, withhold_guess=False):
-    """A list that collects a SolveCall for every solve closedloop makes;
+    """A list that collects a SolveCall for every step closedloop takes;
     with withhold_guess the solve runs without the guess it was handed."""
     calls = []
     seen = nnls_spy(monkeypatch)
+    first_check = closedloop._unconstrained
     real = closedloop._solve
 
-    def spy(p, x, rows, guess=None):
+    def step(p, x):
+        calls.append(SolveCall(p, x.copy()))
+        return first_check(p, x)
+
+    def spy(p, x, rows, guess=None, formed=None):
         first = len(seen)
-        out = real(p, x, rows, None if withhold_guess else guess)
-        calls.append(SolveCall(p, x.copy(), rows, guess, seen[first:]))
+        out = real(p, x, rows, None if withhold_guess else guess, formed)
+        call = calls[-1]
+        call.rows, call.guess, call.nnls = rows, guess, seen[first:]
         return out
 
+    monkeypatch.setattr(closedloop, "_unconstrained", step)
     monkeypatch.setattr(closedloop, "_solve", spy)
     return calls

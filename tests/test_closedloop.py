@@ -32,6 +32,7 @@ from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import box
 from qptrim.qpsolver import qp_solve, solve_sample
 from qptrim.trim import LicqViolation, trim_multi, trim_single
+from test_loop_golden import CASES, STEPS, golden
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,7 +159,7 @@ class TestInfeasibility:
     def test_bad_kappa_rejected_before_step_0(self, monkeypatch):
         sc = di_scenario()
         solves = []
-        monkeypatch.setattr(closedloop, "_solve",
+        monkeypatch.setattr(closedloop, "_unconstrained",
                             lambda *a, **kw: solves.append(a))
         for bad in (np.nan, np.inf, -0.5):
             with pytest.raises(ValueError, match="kappa"):
@@ -478,7 +479,7 @@ class TestOfflineDataset:
         bad = SolvedSample(far.x_hat, far.z_star, [sc.condensed.n_c])
         assert bad.active != far.active
         solves = []
-        monkeypatch.setattr(closedloop, "_solve",
+        monkeypatch.setattr(closedloop, "_unconstrained",
                             lambda *a, **kw: solves.append(a))
         ds = closedloop.OfflineDataset([good, bad], {"kind": "centers"},
                                        1.0, True)
@@ -629,3 +630,53 @@ class TestEstimateDecay:
                 for k in range(10)]
         c, beta = estimate_decay(ClosedLoopTrace(recs))
         assert abs(beta - 0.7) < 1e-6
+
+
+class FakeClock:
+    """A stand-in for the time module whose perf_counter advances by 1 per
+    call; `now` may be advanced by hand."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize("name, mode", [
+    (name, mode) for name in sorted(CASES) for mode in CASES[name][4]
+    if mode != "full"])
+def test_trim_follows_the_input_on_a_step_settled_at_z0(monkeypatch, name,
+                                                         mode):
+    # the fold and the nearest-sample search each cost 1000 ticks: a
+    # trimmed step settled at z0 runs them after its input, outside its
+    # wall time, and any other trimmed step before its solve, inside it;
+    # either way the kept counts are the golden's
+    clock = FakeClock()
+    monkeypatch.setattr(closedloop, "time", clock)
+
+    def slow(f):
+        def wrapped(*args):
+            clock.now += 1000.0
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(closedloop, "_kept_mask",
+                        slow(closedloop._kept_mask))
+    monkeypatch.setattr(closedloop.OfflineDataset, "nearest",
+                        slow(closedloop.OfflineDataset.nearest))
+    make, n_starts, seed, spacing, _ = CASES[name]
+    sc = scenario_from_dict(make())
+    offline = (None if spacing is None
+               else build_offline_dataset(sc, spacing=spacing))
+    paths = set()
+    starts = draw_initial_states(sc, n_starts, seed)
+    for x0, want in zip(starts, golden()[name][mode], strict=True):
+        trace = simulate(sc, x0, STEPS, mode=mode, offline=offline)
+        assert trace.kept_counts().tolist() == want[1]
+        for r in trace.records[1:]:
+            assert (r.wall_time < 1000.0) == (r.path == "z0")
+            assert r.t_trim >= 1000.0
+            paths.add(r.path)
+    assert paths >= {"z0", "guess"}

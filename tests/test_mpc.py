@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qptrim import mpc
+from qptrim.linalg import zoh_discretize
 from qptrim.mpc import (
     EmptyConstraintSet,
     NoConvergence,
@@ -75,6 +77,27 @@ class TestDare:
     def test_unstabilizable_raises(self):
         with pytest.raises(NoConvergence):
             dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+
+    def test_unstabilizable_pair_fails_before_iterating(self, monkeypatch):
+        # the PBH test refuses a mode on or outside the unit circle that B
+        # cannot reach, before the first iteration, even where the iterate
+        # would grow only linearly; a stable unreachable mode passes
+        monkeypatch.setattr(mpc, "_DARE_MAX_ITER", 0)
+        B = np.array([[0.0], [1.0]])
+        for a in (1.0, -1.0, 1.5):
+            with pytest.raises(NoConvergence, match="not stabilizable"):
+                dare(np.diag([a, 0.5]), B, np.eye(2), [[1.0]])
+        two = gen_oscillating_masses(2, h=0.1, N=3)["discretize"]
+        A, B2 = zoh_discretize(two["Ac"], two["Bc"], two["h"])
+        with pytest.raises(NoConvergence, match="not stabilizable"):
+            dare(A, B2, np.eye(4), [[1.0]])
+        monkeypatch.undo()
+        A = np.diag([0.5, 1.5])
+        P = dare(A, B, np.eye(2), [[1.0]])
+        ref = scipy.linalg.solve_discrete_are(A, B, np.eye(2), [[1.0]])
+        assert np.abs(P - ref).max() < 1e-8 * (1 + np.abs(ref).max())
+        with pytest.raises(ValueError, match="finite"):
+            dare(np.diag([np.nan, 0.5]), B, np.eye(2), [[1.0]])
 
     def test_indefinite_q_rejected(self):
         with pytest.raises(ValueError):

@@ -5,12 +5,13 @@ a state it settles costs no b = S x + w and no G z0."""
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qptrim import qpsolver
+from qptrim import closedloop, qpsolver
 from qptrim.bench import draw_initial_states
-from qptrim.closedloop import simulate
+from qptrim.closedloop import build_offline_dataset, simulate
 from qptrim.mpc import scenario_from_dict
 from qptrim.mpqp import IndexSet, MpQp
 from qptrim.qpsolver import solve_sample
@@ -169,6 +170,38 @@ def test_full_loop_forms_b_only_past_the_fused_check(monkeypatch):
             assert np.array_equal(got, want)
         paths += [r.path for r in trace.records]
     assert paths.count("z0") > 0 and len(paths) - paths.count("z0") > 0
+
+
+@pytest.mark.parametrize("name, mode", [
+    (name, mode) for name in sorted(CASES) for mode in CASES[name][4]])
+def test_each_step_forms_b_at_most_once(monkeypatch, name, mode):
+    # b = S x + w serves a step's trim, its solve's band and the loop's own
+    # triple, and each step forms it once, at its own state; a full step
+    # settled at the first check forms none, unless the mode keeps its own
+    # triple, which reads b
+    make, n_starts, seed, spacing, _ = CASES[name]
+    sc = scenario_from_dict(make())
+    offline = (None if spacing is None
+               else build_offline_dataset(sc, spacing=spacing))
+    seen = rhs_spy(monkeypatch)
+    marks = []          # len(seen) as each step begins
+    first_check = closedloop._unconstrained
+
+    def step(p, x):
+        marks.append(len(seen))
+        return first_check(p, x)
+
+    monkeypatch.setattr(closedloop, "_unconstrained", step)
+    records = []
+    for x0 in draw_initial_states(sc, n_starts, seed):
+        records += simulate(sc, x0, STEPS, mode=mode, offline=offline).records
+    assert len(marks) == len(records)
+    keeps_own = mode in ("adaptive-online", "hybrid")
+    for r, lo, hi in zip(records, marks, marks[1:] + [len(seen)]):
+        none = r.mode == "full" and r.path == "z0" and not keeps_own
+        assert hi - lo == (0 if none else 1)
+        assert all(np.array_equal(got, r.x) for got in seen[lo:hi])
+    assert {r.path for r in records} >= {"z0", "guess"}
 
 
 def test_sample_at_a_z0_state_reads_the_active_set_off_g_z():
