@@ -33,7 +33,12 @@ _MAX_TRIES = 100_000
 
 @dataclass
 class BenchConfig:
-    scenario: object                      # dict or path to scenario JSON
+    """One benchmark run: a scenario dict in the layout
+    `mpc.scenario_from_dict` reads (the CLI loads a scenario file into one),
+    the modes compared against `full`, and the draws, steps and seed of the
+    starts."""
+
+    scenario: dict
     modes: tuple = ("full", "adaptive-online")
     n_draws: int = 20
     steps: int = 100
@@ -43,6 +48,9 @@ class BenchConfig:
     offline_spacing: float | None = None  # default: a fifth of the XN box
 
     def __post_init__(self):
+        if not isinstance(self.scenario, dict):
+            raise TypeError(
+                f"scenario must be a dict, got {type(self.scenario).__name__}")
         self.modes = tuple(self.modes)
         if not self.modes:
             raise ValueError("need at least one mode")
@@ -130,10 +138,7 @@ def draw_initial_states(scenario, n_draws, seed):
 
 
 def run_bench(config: BenchConfig) -> BenchResult:
-    scen_data = config.scenario
-    if not isinstance(scen_data, dict):
-        scen_data = json.loads(pathlib.Path(scen_data).read_text())
-    scenario = scenario_from_dict(scen_data)
+    scenario = scenario_from_dict(config.scenario)
     p = scenario.condensed
     kappa = resolve_kappa(config.kappa, p)
     draws = draw_initial_states(scenario, config.n_draws, config.seed)

@@ -27,7 +27,8 @@ from .closedloop import (
 from .lifted import SigmaTable, lift, sigma_table
 from .lipschitz import (DegenerateRow, check_kappa_spec, glc, glc_scaled,
                         resolve_kappa)
-from .mpc import scenario_from_dict
+from .mpc import (EmptyConstraintSet, NoConvergence, NoTermination, NotPd,
+                  scenario_from_dict)
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .qpsolver import solve_sample
@@ -72,8 +73,8 @@ def _load_scenario(spec: str) -> dict:
 
 
 def _parse_vector(text, n: int, flag: str) -> np.ndarray:
-    """Accepts '1.5,-2' or a JSON array of n numbers; anything else exits
-    naming the flag."""
+    """Accepts '1.5,-2' or a JSON array of n finite numbers; anything else
+    exits naming the flag."""
     try:
         try:
             vals = json.loads(text)
@@ -84,6 +85,8 @@ def _parse_vector(text, n: int, flag: str) -> np.ndarray:
         raise SystemExit(f"{flag} {text!r} is not a vector of numbers") from None
     if vec.shape != (n,):
         raise SystemExit(f"{flag} has {vec.size} entries, expected {n}")
+    if not np.isfinite(vec).all():
+        raise SystemExit(f"{flag} {text!r} has an entry that is not finite")
     return vec
 
 
@@ -111,6 +114,8 @@ def _checked(parse, ok, what: str):
 # a --kappa spec, kept as text for resolve_kappa
 _KAPPA = _checked(str, lambda t: check_kappa_spec(t) is None,
                   "a finite number >= 0, 'formula' or 'scaled-formula'")
+# a count flag: --i-max, --n-samples, --draws, bench's --steps
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem")
     sp.add_argument("--box", required=True,
                     help="JSON [[lo,hi],...] over the stacked (x,z) space")
-    sp.add_argument("--i-max", type=int, default=None)
+    sp.add_argument("--i-max", type=_COUNT, default=None)
     sp.add_argument("--mode", choices=("milp", "sampled"), default="milp")
-    sp.add_argument("--n-samples", type=int, default=20000)
+    sp.add_argument("--n-samples", type=_COUNT, default=20000)
     sp.add_argument("--cache-dir", default=None,
                     help="reuse tables keyed by problem content hash")
     sp.set_defaults(func=cmd_sigma)
@@ -321,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   lambda ms: set(ms) <= set(MODES),
                                   "a list of modes from " + ",".join(MODES)))
     for flag, default in (("--draws", 20), ("--steps", 100)):
-        sp.add_argument(flag, default=default, type=_checked(
-            int, lambda n: n >= 1, "an integer >= 1"))
+        sp.add_argument(flag, default=default, type=_COUNT)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("verify", parents=[common],
@@ -344,6 +348,9 @@ def main(argv=None) -> int:
         raise SystemExit(str(exc)) from None
     except InfeasibleAtStep as exc:
         raise SystemExit(f"{args.command} stopped infeasible at {exc}") from None
+    except (NoConvergence, NoTermination, EmptyConstraintSet, NotPd) as exc:
+        raise SystemExit(
+            f"{args.command}: cannot build the scenario: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -237,7 +237,7 @@ def simulate(
     guess = None              # last solve's active rows, one stage earlier
     for k in range(steps):
         if scenario.stripped_param_rows is not None and not (
-            scenario.stripped_param_rows.contains(x, FEAS)
+            scenario.stripped_param_rows.contains(x)
         ):
             fail(k, "state violates a pure-parameter constraint row")
         t0 = time.perf_counter()
@@ -299,10 +299,9 @@ def simulate(
 class OfflineDataset:
     """Pre-solved samples with a nearest-neighbor query.
 
-    geometry is {"kind": "grid", "spacing": s, "anchor": [...]} or
-    {"kind": "centers"}; coverage is the max distance from any state in the
-    terminal set to its nearest sample (exact cell bound for grids,
-    sample-based estimate otherwise).
+    coverage is the max distance from any state in the terminal set to its
+    nearest sample: an exact cell bound for a grid, a sample-based estimate
+    (coverage_is_estimate) for explicit centers.
 
     The samples are held as a tuple, so the column-major copy of their
     parameters that nearest_index searches, and the memo of their checks,
@@ -313,7 +312,6 @@ class OfflineDataset:
     """
 
     samples: tuple
-    geometry: dict
     coverage: float
     coverage_is_estimate: bool
 
@@ -379,12 +377,9 @@ def build_offline_dataset(scenario, spacing: float | None = None,
             axes.append(anchor[i] + spacing * np.arange(lo, hi + 1))
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.column_stack([m.ravel() for m in mesh])
-        points = [pt for pt in points if region.contains(pt, FEAS)]
-        geometry = {"kind": "grid", "spacing": float(spacing),
-                    "anchor": anchor.tolist()}
+        points = [pt for pt in points if region.contains(pt)]
     else:
         points = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
-        geometry = {"kind": "centers"}
 
     samples = []
     anchor_kept = False
@@ -408,18 +403,18 @@ def build_offline_dataset(scenario, spacing: float | None = None,
             circumradius = float(
                 np.linalg.norm(corners - anchor, axis=1).max())
             coverage = min(coverage, circumradius)
-        return OfflineDataset(samples, geometry, coverage, False)
+        return OfflineDataset(samples, coverage, False)
 
     rng = np.random.default_rng(0)
     draws = rng.uniform(bb[:, 0], bb[:, 1], size=(_COVERAGE_DRAWS, n))
     worst = 0.0
     centers_arr = np.array([s.x_hat for s in samples])
     for x in draws:
-        if not region.contains(x, FEAS):
+        if not region.contains(x):
             continue
         worst = max(worst, float(
             np.linalg.norm(centers_arr - x, axis=1).min()))
-    return OfflineDataset(samples, geometry, worst, True)
+    return OfflineDataset(samples, worst, True)
 
 
 def _clamped_steps(value: float, beta: float) -> float:

@@ -169,11 +169,14 @@ def sigma_sample(
     (i+1)-th smallest facet distance.
 
     Always >= the true threshold. For i >= n_c the defining condition is
-    vacuous and the box diagonal is returned.
+    vacuous and the box diagonal is returned. An i or n_samples below 1
+    raises ValueError.
     """
     _require_box(L)
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if i >= L.n_c:
         return _box_diagonal(L)
     rng = np.random.default_rng(seed)
@@ -277,12 +280,15 @@ def sigma_table(
     n_samples: int = 20000,
     seed: int = 0,
 ) -> SigmaTable:
-    """Thresholds for i = 1..i_max (capped at n_c - 1).
+    """Thresholds for i = 1..i_max (capped at n_c - 1, so the table is
+    empty when n_c = 1); an i_max below 1 raises ValueError.
 
     Exact values are nondecreasing in i; tiny numerical dips from the
     search are clamped against the previous entry.
     """
     _require_box(L)
+    if i_max is not None and i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {i_max}")
     cap = L.n_c - 1
     i_max = cap if i_max is None else min(int(i_max), cap)
     if mode not in ("milp", "sampled"):

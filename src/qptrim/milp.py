@@ -33,6 +33,7 @@ from .tolerances import FEAS
 
 INT_TOL = 1e-6   # a value this close to an integer counts as integral
 _DUAL_CAP = 500  # dual pivots after which a child is solved cold
+_NODE_LIMIT = 1_000_000  # child nodes after which the search gives up
 
 
 class MilpTimeout(Exception):
@@ -57,16 +58,16 @@ def milp_solve(
     d=None,
     bounds=None,
     integer=(),
-    node_limit: int = 1_000_000,
 ) -> MilpResult:
     """Minimize cost@x subject to C@x <= d and bounds, with x[j] integral
-    for every j in `integer`.
+    for every j in `integer`. `bounds` takes the form `lp_solve` takes:
+    None, or one (lo, hi) pair per variable.
 
     Best-first on the relaxation bound, depth first among equal bounds;
     branches on the most fractional integer variable. Nodes that cannot
     improve the best integral point found by more than 1e-9 are pruned. An
     OPTIMAL result always carries that point, with its integer entries
-    rounded exactly.
+    rounded exactly. Raises MilpTimeout after _NODE_LIMIT child nodes.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.size
@@ -129,9 +130,9 @@ def milp_solve(
         for child_lo, child_hi in ((split + 1.0, hi_n[j]), (lo_n[j], split)):
             if child_lo > child_hi:
                 continue
-            if nodes >= node_limit:
+            if nodes >= _NODE_LIMIT:
                 raise MilpTimeout(
-                    f"node limit {node_limit} reached (best bound {bound:.6g})"
+                    f"node limit {_NODE_LIMIT} reached (best bound {bound:.6g})"
                 )
             lo_c, hi_c = lo_n.copy(), hi_n.copy()
             lo_c[j], hi_c[j] = child_lo, child_hi

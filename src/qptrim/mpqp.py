@@ -31,7 +31,7 @@ class IndexSet:
 
     __slots__ = ("_idx",)
 
-    def __init__(self, indices=(), n_c: int | None = None):
+    def __init__(self, indices=()):
         vals = [float(i) for i in indices]
         bad = [v for v in vals if not v.is_integer()]
         if bad:
@@ -39,8 +39,6 @@ class IndexSet:
         idx = np.unique(np.array(vals, dtype=np.intp))
         if idx.size and idx[0] < 1:
             raise ValueError(f"constraint indices are 1-based, got {idx[0]}")
-        if n_c is not None and idx.size and idx[-1] > n_c:
-            raise ValueError(f"index {idx[-1]} exceeds n_c={n_c}")
         self._idx = idx
 
     @classmethod
@@ -261,11 +259,6 @@ class MpQp:
             name=self.name,
         )
 
-    def objective(self, x, z) -> float:
-        z = np.asarray(z, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * z @ self.H @ z + x @ self.F @ z)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -318,8 +311,8 @@ class SolvedSample:
         return cls(data["x_hat"], data["z_star"], IndexSet(data["active"]))
 
 
-def samples_to_json(samples, indent=None) -> str:
-    return json.dumps([s.to_dict() for s in samples], indent=indent)
+def samples_to_json(samples) -> str:
+    return json.dumps([s.to_dict() for s in samples])
 
 
 def samples_from_json(text: str) -> list:

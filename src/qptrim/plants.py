@@ -10,10 +10,6 @@ import numpy as np
 from .polyhedra import box
 
 
-class TopologyMismatch(Exception):
-    """Actuator layout inconsistent with the mass/actuator counts."""
-
-
 def gen_double_integrator(h: float = 0.5, N: int = 5) -> dict:
     """Two-state plant (position, velocity), force input, box limits."""
     if not (h > 0 and np.isfinite(h)):
@@ -33,37 +29,15 @@ def gen_double_integrator(h: float = 0.5, N: int = 5) -> dict:
     }
 
 
-def default_topology(n_masses: int, n_actuators: int) -> list:
-    """Actuators on odd masses, each pushing against its right neighbor;
-    a trailing unpaired mass gets a single-ended actuator."""
-    topo = []
-    mass = 1
-    for _ in range(n_actuators):
-        if mass + 1 <= n_masses:
-            topo.append((mass, mass + 1))
-        elif mass <= n_masses:
-            topo.append((mass,))
-        else:
-            raise TopologyMismatch(
-                f"{n_actuators} actuators do not fit on {n_masses} masses")
-        mass += 2
-    return topo
-
-
-def gen_oscillating_masses(
-    n_masses: int,
-    n_actuators: int | None = None,
-    h: float = 0.1,
-    N: int = 30,
-    topology=None,
-) -> dict:
+def gen_oscillating_masses(n_masses: int, h: float = 0.1, N: int = 30) -> dict:
     """Chain of unit masses joined by unit springs, walls at both ends.
 
-    State stacks positions then velocities. Each actuator exerts an equal
-    and opposite force on a pair of masses (+ on the first, - on the
-    second), or a plain push for a single-entry pair. Displacements are
-    limited to +-4 and forces to +-0.5; velocities are left free, which is
-    why the state constraint is a slab rather than a box.
+    State stacks positions then velocities. Actuators sit on masses 1, 3,
+    5, ...; each exerts an equal and opposite force on its mass (+) and the
+    right neighbour (-), and with an odd mass count the last one is a plain
+    push on the last mass. Displacements are limited to +-4 and forces to
+    +-0.5; velocities are left free, which is why the state constraint is a
+    slab rather than a box.
     """
     if n_masses < 2:
         raise ValueError(f"need at least 2 masses, got {n_masses}")
@@ -71,29 +45,18 @@ def gen_oscillating_masses(
         raise ValueError(f"step h must be positive, got {h}")
     if N < 1:
         raise ValueError(f"horizon must be >= 1, got {N}")
-    if n_actuators is None:
-        n_actuators = len(topology) if topology is not None else (n_masses + 1) // 2
-    if topology is None:
-        topology = default_topology(n_masses, n_actuators)
-    if len(topology) != n_actuators:
-        raise TopologyMismatch(
-            f"{n_actuators} actuators but {len(topology)} topology entries")
 
     n = n_masses
     spring = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
     ac = np.zeros((2 * n, 2 * n))
     ac[:n, n:] = np.eye(n)
     ac[n:, :n] = spring
-    bc = np.zeros((2 * n, n_actuators))
-    for col, pair in enumerate(topology):
-        masses = tuple(pair)
-        if len(masses) not in (1, 2) or len(set(masses)) != len(masses):
-            raise TopologyMismatch(f"bad actuator entry {pair!r}")
-        for sign, m_idx in zip((1.0, -1.0), masses):
-            if not 1 <= m_idx <= n:
-                raise TopologyMismatch(
-                    f"actuator touches mass {m_idx}, have 1..{n}")
-            bc[n + m_idx - 1, col] = sign
+    m = (n + 1) // 2
+    bc = np.zeros((2 * n, m))
+    for col in range(m):
+        bc[n + 2 * col, col] = 1.0
+        if 2 * col + 1 < n:
+            bc[n + 2 * col + 1, col] = -1.0
 
     pos_sel = np.hstack([np.eye(n), np.zeros((n, n))])
     x_rows = np.vstack([pos_sel, -pos_sel])
@@ -101,9 +64,9 @@ def gen_oscillating_masses(
         "name": f"oscillating-masses-{n}",
         "discretize": {"Ac": ac.tolist(), "Bc": bc.tolist(), "h": float(h)},
         "Q": np.eye(2 * n).tolist(),
-        "R": np.eye(n_actuators).tolist(),
+        "R": np.eye(m).tolist(),
         "N": int(N),
         "X": {"C": x_rows.tolist(), "d": [4.0] * (2 * n)},
-        "U": box(0.5, dim=n_actuators).to_dict(),
+        "U": box(0.5, dim=m).to_dict(),
         "terminal": "auto",
     }

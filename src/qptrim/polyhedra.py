@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
-from .tolerances import IMPLIED
+from .tolerances import FEAS, IMPLIED
 
 
 @dataclass
@@ -29,9 +29,10 @@ class Polyhedron:
     def dim(self) -> int:
         return self.C.shape[1]
 
-    def contains(self, x, tol: float = 1e-8) -> bool:
+    def contains(self, x) -> bool:
+        """Every row holds at x to within FEAS * (1 + |d_j|)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.all(self.C @ x <= self.d + tol * (1.0 + np.abs(self.d))))
+        return bool(np.all(self.C @ x <= self.d + FEAS * (1.0 + np.abs(self.d))))
 
     def is_empty(self) -> bool:
         res = lp_solve(np.zeros(self.dim), self.C, self.d)
@@ -88,25 +89,8 @@ class Polyhedron:
         return cls(C=data["C"], d=data["d"])
 
 
-def box(limits, dim: int | None = None) -> Polyhedron:
-    """Axis-aligned box as a polyhedron.
-
-    `limits` is a scalar L (meaning |x_i| <= L, needs dim), a (lo, hi) pair
-    applied to every coordinate (needs dim), or per-coordinate pairs.
-    """
-    if np.isscalar(limits):
-        if dim is None:
-            raise ValueError("dim required for scalar limits")
-        arr = np.tile([-float(limits), float(limits)], (dim, 1))
-    else:
-        arr = np.asarray(limits, dtype=float)
-        if arr.shape == (2,):
-            if dim is None:
-                raise ValueError("dim required for a single (lo, hi) pair")
-            arr = np.tile(arr, (dim, 1))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"bad box limits shape {arr.shape}")
-    n = arr.shape[0]
-    eye = np.eye(n)
-    return Polyhedron(np.vstack([eye, -eye]),
-                      np.concatenate([arr[:, 1], -arr[:, 0]]))
+def box(limit: float, dim: int) -> Polyhedron:
+    """The box |x_i| <= limit, i = 1..dim, as a polyhedron: the rows of
+    the identity, then of its negative."""
+    eye = np.eye(dim)
+    return Polyhedron(np.vstack([eye, -eye]), np.full(2 * dim, float(limit)))

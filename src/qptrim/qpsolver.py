@@ -145,7 +145,7 @@ def _solve(p: MpQp, x, rows, guess=None, formed=None):
     feas_slack = feas_tol(b)
     # the band is a rule on b - G z0, which h matches far inside one band
     if h.min() >= -2.0 * feas_slack and (
-            b - (p.G @ z0)[rows]).min() >= -feas_slack:
+            b - p.G[rows] @ z0).min() >= -feas_slack:
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
     if guess is not None and len(guess):
         work = np.searchsorted(rows, guess)

@@ -45,12 +45,6 @@ def _expand_bounds(bounds, n):
     hi = np.full(n, np.inf)
     if bounds is None:
         return lo, hi
-    if (
-        isinstance(bounds, tuple)
-        and len(bounds) == 2
-        and not isinstance(bounds[0], (tuple, list, np.ndarray))
-    ):
-        bounds = [bounds] * n
     if len(bounds) != n:
         raise ValueError(f"got {len(bounds)} bound pairs for {n} variables")
     for j, (a, b) in enumerate(bounds):
@@ -91,13 +85,13 @@ class _Tableau:
             setattr(new, name, getattr(self, name).copy())
         return new
 
-    def objective(self, cost):
+    def value(self, cost):
         return float(cost @ self.val)
 
     def run(self, cost, max_iter, bland_after):
         """Optimize; returns True if optimal, False if unbounded."""
         stall = 0
-        best = self.objective(cost)
+        best = self.value(cost)
         ctol = _PIVOT_TOL * (1.0 + np.abs(cost).max(initial=0.0))
         for _ in range(max_iter):
             cb = cost[self.basis]
@@ -113,7 +107,7 @@ class _Tableau:
             if step is None:
                 return False  # unbounded ray
             self._apply_step(enter, sign, col, step, leave_row, to_upper)
-            obj = self.objective(cost)
+            obj = self.value(cost)
             if obj < best - 1e-12 * (1.0 + abs(best)):
                 best = obj
                 stall = 0
@@ -245,8 +239,8 @@ class _Tableau:
 def lp_solve(cost, C=None, d=None, bounds=None) -> LpResult:
     """Minimize cost @ x subject to C @ x <= d and optional box bounds.
 
-    bounds may be None (free), one (lo, hi) pair for all variables, or a
-    per-variable sequence; None endpoints mean unbounded. Returns an LpResult
+    bounds may be None (every variable free) or one (lo, hi) pair per
+    variable; None endpoints mean unbounded. Returns an LpResult
     whose status is one of "optimal", "infeasible", "unbounded"; an optimal
     result keeps its simplex state.
     """
@@ -323,7 +317,7 @@ class Relaxation:
             phase1 = np.zeros(n_tot)
             phase1[ny + m:] = 1.0
             tab.run(phase1, max_iter, bland_after)
-            if tab.objective(phase1) > 1e-9 * (1.0 + self.d_max):
+            if tab.value(phase1) > 1e-9 * (1.0 + self.d_max):
                 return LpResult(INFEASIBLE, iterations=tab.iterations)
             _evict_artificials(tab, ny + m)
             # lock artificials at zero so phase 2 never moves them

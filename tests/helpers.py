@@ -7,9 +7,18 @@ and the feasible-parameter search are the release gate's own generators
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from qptrim import closedloop, qpsolver
 from qptrim.verify import _feasible_shift as random_feasible_x  # noqa: F401
 from qptrim.verify import _random_mpqp as random_mpqp  # noqa: F401
+
+
+def within(P, x, tol):
+    """Every row of the polyhedron P holds at x to within tol * (1 + |d_j|),
+    the row band Polyhedron.contains applies at FEAS."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return bool(np.all(P.C @ x <= P.d + tol * (1.0 + np.abs(P.d))))
 
 
 def nnls_spy(monkeypatch):

@@ -136,13 +136,6 @@ class TestRunBench:
         assert summary["violations"] == []
         assert summary["seed"] == 0
 
-    def test_scenario_from_path(self, tmp_path):
-        path = tmp_path / "scen.json"
-        path.write_text(json.dumps(gen_double_integrator(h=0.5, N=2)))
-        res = run_bench(BenchConfig(scenario=str(path), modes=("full",),
-                                    n_draws=2, steps=5, seed=1))
-        assert res.ok and len(res.rows) == 5
-
 
 class TestDrawInitialStates:
     def test_starved_sampling_raises(self, monkeypatch):
@@ -169,6 +162,8 @@ class TestConfigValidation:
         for kappa in ("guess", -1.0, float("nan"), None):
             with pytest.raises(ValueError):
                 BenchConfig(**base, kappa=kappa)
+        with pytest.raises(TypeError, match="scenario must be a dict"):
+            BenchConfig(scenario="scenario.json")
 
     def test_rejects_fractional_counts(self):
         base = dict(scenario=gen_double_integrator())

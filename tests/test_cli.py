@@ -161,6 +161,42 @@ def test_sigma_cache_round_trip(prob_file, tmp_path, capsys):
     assert "sigma" in json.loads(first)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--i-max", "0"], "argument --i-max: '0' is not an integer >= 1"),
+    (["--i-max", "-2"], "argument --i-max: '-2' is not an integer >= 1"),
+    (["--mode", "sampled", "--n-samples", "0"],
+     "argument --n-samples: '0' is not an integer >= 1"),
+    (["--mode", "sampled", "--n-samples", "-5"],
+     "argument --n-samples: '-5' is not an integer >= 1"),
+])
+def test_sigma_counts_below_one_are_usage_errors(prob_file, tmp_path, capsys,
+                                                 flags, message):
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps([[-3, 3], [-3, 3]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", prob_file, "--box", str(box), *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unbuildable_scenario_exits_with_one_line(tmp_path):
+    # masses-2's one actuator pushes its pair apart and cannot reach the
+    # mode where both masses move together; A = 2, B = 0 fails the PBH
+    # test the same way
+    f = tmp_path / "unstabilizable.json"
+    f.write_text(json.dumps({
+        "A": [[2.0]], "B": [[0.0]], "Q": [[1.0]], "R": [[1.0]], "N": 2,
+        "X": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]},
+        "U": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]}, "terminal": "auto"}))
+    for scenario in ("masses-2", str(f)):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant-set", scenario])
+        text = str(exc.value)
+        assert text.startswith("invariant-set: cannot build the scenario: "
+                               "(A, B) is not stabilizable")
+        assert "\n" not in text
+
+
 def test_invariant_set_builtin_scenario(capsys):
     assert main(["invariant-set", "double-integrator"]) == 0
     d = _json_out(capsys)
@@ -189,6 +225,9 @@ def test_mpc_sim_emits_one_line_per_step(capsys):
     (["mpc-sim", "double-integrator", "--x0", "1,2,3", "--steps", "2"],
      "--x0 has 3 entries, expected 2"),
     (["solve", "{prob}", "-x", "one"], "-x 'one' is not a vector of numbers"),
+    (["solve", "{prob}", "-x", "nan"], "-x 'nan' has an entry that is not finite"),
+    (["mpc-sim", "double-integrator", "--x0", "nan,0", "--steps", "2"],
+     "--x0 'nan,0' has an entry that is not finite"),
 ])
 def test_vector_of_wrong_length_rejected(prob_file, samples_file, argv,
                                          message):

@@ -32,6 +32,7 @@ from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import box
 from qptrim.qpsolver import qp_solve, solve_sample
 from qptrim.trim import LicqViolation, trim_multi, trim_single
+from helpers import within
 from test_loop_golden import CASES, STEPS, golden
 
 
@@ -91,8 +92,8 @@ class TestSimulateBasics:
         trace = simulate(sc, x0, 60, mode="full")
         assert np.linalg.norm(trace.states()[-1]) < 1e-4
         for r in trace.records:
-            assert sc.X.contains(r.x, tol=1e-7)
-            assert sc.U.contains(r.u, tol=1e-7)
+            assert within(sc.X, r.x, 1e-7)
+            assert within(sc.U, r.u, 1e-7)
         assert (trace.kept_counts() == sc.condensed.n_c).all()
 
     def test_step_recursion_exact(self):
@@ -330,7 +331,7 @@ class TestOfflineDataset:
         assert not ds.coverage_is_estimate
         assert abs(ds.coverage - 0.5 * 0.5 * math.sqrt(2)) < 1e-12
         for s in ds.samples:
-            assert sc.XN.contains(s.x_hat, tol=1e-9)
+            assert within(sc.XN, s.x_hat, 1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["grid", "centers"]), data=st.data())
@@ -407,8 +408,7 @@ class TestOfflineDataset:
         sc = di_scenario()
         grid = offline_datasets()["grid"]
         # a dataset of its own, whose memo no other test has filled
-        ds = closedloop.OfflineDataset(grid.samples, grid.geometry,
-                                       grid.coverage, False)
+        ds = closedloop.OfflineDataset(grid.samples, grid.coverage, False)
         checked = []
         real = closedloop.check_sample
         monkeypatch.setattr(closedloop, "check_sample",
@@ -431,7 +431,7 @@ class TestOfflineDataset:
         # the later samples' indices would no longer match their points
         sc = scenario_from_dict(gen_double_integrator(h=0.5, N=3))
         listed = list(build_offline_dataset(sc, spacing=0.5).samples)
-        ds = closedloop.OfflineDataset(listed, {"kind": "centers"}, 1.0, True)
+        ds = closedloop.OfflineDataset(listed, 1.0, True)
         assert len(ds.samples) == 65
         x = [0.05, 0.05]
         before = ds.nearest(x)
@@ -447,8 +447,7 @@ class TestOfflineDataset:
     def test_hybrid_reads_offline_licq_from_the_memo(self, monkeypatch):
         sc = di_scenario()
         grid = offline_datasets()["grid"]
-        ds = closedloop.OfflineDataset(grid.samples, grid.geometry,
-                                       grid.coverage, False)
+        ds = closedloop.OfflineDataset(grid.samples, grid.coverage, False)
         calls = []
         real = MpQp.licq_holds
         monkeypatch.setattr(MpQp, "licq_holds",
@@ -481,11 +480,10 @@ class TestOfflineDataset:
         solves = []
         monkeypatch.setattr(closedloop, "_unconstrained",
                             lambda *a, **kw: solves.append(a))
-        ds = closedloop.OfflineDataset([good, bad], {"kind": "centers"},
-                                       1.0, True)
+        ds = closedloop.OfflineDataset([good, bad], 1.0, True)
         with pytest.raises(ValueError, match="inconsistent"):
             simulate(sc, x0, 20, mode=mode, offline=ds)
-        empty = closedloop.OfflineDataset([], {"kind": "centers"}, 0.0, True)
+        empty = closedloop.OfflineDataset([], 0.0, True)
         with pytest.raises(EmptyDataset):
             simulate(sc, x0, 20, mode=mode, offline=empty)
         assert solves == []
@@ -495,7 +493,7 @@ class TestOfflineDataset:
         good = offline_datasets()["grid"].samples[0]
         wrong = SolvedSample(good.x_hat, good.z_star, [sc.condensed.n_c])
         assert wrong.active != good.active
-        ds = closedloop.OfflineDataset([wrong], {"kind": "centers"}, 1.0, True)
+        ds = closedloop.OfflineDataset([wrong], 1.0, True)
         with pytest.raises(ValueError, match="inconsistent"):
             simulate(sc, good.x_hat, 3, mode="offline-nearest", offline=ds)
 

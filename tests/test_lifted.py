@@ -143,6 +143,12 @@ class TestSigmaSample:
         with pytest.raises(ValueError):
             sigma_sample(unit_square(), 0)
 
+    def test_sample_count_below_one_rejected(self):
+        # no draw cannot be told from draws that all miss the polyhedron
+        for n_samples in (0, -5):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                sigma_sample(unit_square(), 1, n_samples=n_samples)
+
 
 class TestSigmaMilp:
     def test_two_halfplanes_threshold_zero(self):
@@ -247,6 +253,14 @@ class TestSigmaTable:
         assert max(t.sigma) == 3
         with pytest.raises(ValueError):
             sigma_table(unit_square(), mode="exhaustive")
+
+    def test_imax_below_one_rejected(self):
+        for i_max in (0, -2):
+            with pytest.raises(ValueError, match="i_max must be >= 1"):
+                sigma_table(unit_square(), i_max=i_max)
+        # one row leaves no threshold to compute: an empty table, not an error
+        one_row = LiftedPolyhedron([[1.0, 0.0]], [1.0], box=(-2.0, 2.0))
+        assert sigma_table(one_row, i_max=1).sigma == {}
 
     def test_json_round_trip_restores_int_keys(self):
         t = SigmaTable(sigma={1: 0.0, 2: 0.5}, method="milp", r_max=5.0)

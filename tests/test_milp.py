@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qptrim import milp
 from qptrim.milp import MilpTimeout, milp_solve
 from qptrim.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
 
@@ -41,7 +42,7 @@ def test_small_knapsack():
         [-5.0, -4.0, -3.0],
         C=[[2.0, 3.0, 1.0]],
         d=[5.0],
-        bounds=(0.0, 1.0),
+        bounds=[(0.0, 1.0)] * 3,
         integer=[0, 1, 2],
     )
     assert res.is_optimal
@@ -54,7 +55,7 @@ def test_returned_point_is_exactly_integral():
         [-1.0, -1.0, -1.0],
         C=[[1.0, 1.0, 1.0]],
         d=[1.5],
-        bounds=(0.0, 1.0),
+        bounds=[(0.0, 1.0)] * 3,
         integer=[0, 1, 2],
     )
     assert res.is_optimal
@@ -70,7 +71,7 @@ def test_random_binary_problems_match_enumeration():
         C = rng.normal(size=(m, n))
         d = rng.normal(loc=1.0, size=m)
         cost = rng.normal(size=n)
-        res = milp_solve(cost, C, d, (0.0, 1.0), integer=range(n))
+        res = milp_solve(cost, C, d, [(0.0, 1.0)] * n, integer=range(n))
         ref = brute_force_binary(cost, C, d, n)
         if ref is None:
             assert res.status == INFEASIBLE
@@ -100,12 +101,13 @@ def test_mixed_integer_continuous_matches_enumeration():
             assert np.array_equal(res.x[:n_bin], np.round(res.x[:n_bin]))
 
 
-def test_node_limit_raises():
+def test_node_limit_raises(monkeypatch):
     # sum of binaries >= 5.5 keeps every relaxation fractional
     n = 12
+    monkeypatch.setattr(milp, "_NODE_LIMIT", 3)
     with pytest.raises(MilpTimeout):
-        milp_solve(np.ones(n), [[-1.0] * n], [-5.5], (0.0, 1.0),
-                   integer=range(n), node_limit=3)
+        milp_solve(np.ones(n), [[-1.0] * n], [-5.5], [(0.0, 1.0)] * n,
+                   integer=range(n))
 
 
 def test_infeasible_detected():
@@ -144,8 +146,8 @@ def test_deterministic():
     C = rng.normal(size=(5, 8))
     d = rng.normal(loc=1.0, size=5)
     cost = rng.normal(size=8)
-    a = milp_solve(cost, C, d, (0.0, 1.0), integer=range(8))
-    b = milp_solve(cost, C, d, (0.0, 1.0), integer=range(8))
+    a = milp_solve(cost, C, d, [(0.0, 1.0)] * 8, integer=range(8))
+    b = milp_solve(cost, C, d, [(0.0, 1.0)] * 8, integer=range(8))
     assert a.status == b.status and a.nodes == b.nodes
     if a.is_optimal:
         assert a.objective == b.objective

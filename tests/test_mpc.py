@@ -19,6 +19,7 @@ from qptrim.mpc import (
 from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import Polyhedron, box
 
+from helpers import within
 from oracles import dare_residual
 
 
@@ -146,9 +147,9 @@ class TestMaxInvariantSet:
             hits += 1
             y = x.copy()
             for _ in range(30):
-                assert body.contains(y, tol=1e-7)
+                assert within(body, y, 1e-7)
                 y = Acl @ y
-                assert inv.contains(y, tol=1e-7)
+                assert within(inv, y, 1e-7)
         assert hits > 20
 
     def test_maximality_on_rejected_points(self):
@@ -160,13 +161,13 @@ class TestMaxInvariantSet:
         outside = 0
         for _ in range(400):
             x = rng.uniform(-1, 1, 2)
-            if inv.contains(x, tol=-1e-7):
+            if within(inv, x, -1e-7):
                 continue
             outside += 1
             y = x.copy()
             escaped = False
             for _ in range(100):
-                if not body.contains(y, tol=1e-10):
+                if not within(body, y, 1e-10):
                     escaped = True
                     break
                 y = Acl @ y
@@ -405,8 +406,8 @@ class TestTerminalIngredients:
             checked += 1
             y = x.copy()
             for _ in range(40):
-                assert X.contains(y, tol=1e-7)
-                assert U.contains(K @ y, tol=1e-7)
+                assert within(X, y, 1e-7)
+                assert within(U, K @ y, 1e-7)
                 y = Acl @ y
         assert checked > 10
 

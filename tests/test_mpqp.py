@@ -36,9 +36,6 @@ class TestIndexSet:
             IndexSet([0, 1])
         with pytest.raises(ValueError):
             IndexSet(np.array([2, 0]))
-        with pytest.raises(ValueError):
-            IndexSet([1, 5], n_c=4)
-        IndexSet([1, 4], n_c=4)
         # an entry that is not an integer value is refused, not truncated
         for bad in (2.4, 1.5, float("nan"), float("inf"), np.float64(2.9)):
             with pytest.raises(ValueError, match="integers"):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from qptrim.mpc import scenario_from_dict
-from qptrim.plants import (
-    TopologyMismatch,
-    default_topology,
-    gen_double_integrator,
-    gen_oscillating_masses,
-)
+from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import box
 
 
@@ -34,14 +29,20 @@ class TestDoubleIntegrator:
 
 class TestDefaultTopology:
     def test_even(self):
-        assert default_topology(6, 3) == [(1, 2), (3, 4), (5, 6)]
+        bc = np.array(gen_oscillating_masses(6)["discretize"]["Bc"])
+        assert bc.shape == (12, 3)
+        assert np.array_equal(bc[6:], [[1, 0, 0], [-1, 0, 0],
+                                       [0, 1, 0], [0, -1, 0],
+                                       [0, 0, 1], [0, 0, -1]])
+        assert np.all(bc[:6] == 0.0)
 
     def test_odd_gets_single(self):
-        assert default_topology(5, 3) == [(1, 2), (3, 4), (5,)]
-
-    def test_too_many_actuators(self):
-        with pytest.raises(TopologyMismatch):
-            default_topology(2, 3)
+        bc = np.array(gen_oscillating_masses(5)["discretize"]["Bc"])
+        assert bc.shape == (10, 3)
+        assert np.array_equal(bc[5:], [[1, 0, 0], [-1, 0, 0],
+                                       [0, 1, 0], [0, -1, 0],
+                                       [0, 0, 1]])
+        assert np.all(bc[:5] == 0.0)
 
 
 class TestOscillatingMasses:
@@ -79,7 +80,8 @@ class TestOscillatingMasses:
     def test_two_mass_auto_terminal(self):
         # single-ended actuator: the equal-and-opposite pair cannot damp
         # the symmetric mode of a 2-mass chain
-        data = gen_oscillating_masses(2, h=0.1, N=3, topology=[(1,)])
+        data = gen_oscillating_masses(2, h=0.1, N=3)
+        data["discretize"]["Bc"] = [[0.0], [0.0], [1.0], [0.0]]
         sc = scenario_from_dict(data)
         assert sc.XN.n_rows > 4
         bb = sc.XN.bounding_box()  # raises if the set is unbounded
@@ -91,22 +93,6 @@ class TestOscillatingMasses:
         data = gen_oscillating_masses(2, h=0.1, N=3)
         with pytest.raises(NoConvergence):
             scenario_from_dict(data)
-
-    def test_custom_topology(self):
-        data = gen_oscillating_masses(4, topology=[(2, 3)])
-        bc = np.array(data["discretize"]["Bc"])
-        assert bc.shape == (8, 1)
-        assert bc[5, 0] == 1.0 and bc[6, 0] == -1.0
-
-    def test_topology_errors(self):
-        with pytest.raises(TopologyMismatch):
-            gen_oscillating_masses(4, n_actuators=2, topology=[(1, 2)])
-        with pytest.raises(TopologyMismatch):
-            gen_oscillating_masses(4, topology=[(0, 1)])
-        with pytest.raises(TopologyMismatch):
-            gen_oscillating_masses(4, topology=[(2, 2)])
-        with pytest.raises(TopologyMismatch):
-            gen_oscillating_masses(4, topology=[(1, 2, 3)])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

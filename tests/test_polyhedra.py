@@ -51,7 +51,9 @@ class TestSupport:
 class TestBoundingBox:
     def test_box_roundtrip(self):
         limits = np.array([[-1.0, 2.0], [0.5, 3.0]])
-        bb = box(limits).bounding_box()
+        eye = np.eye(2)
+        bb = Polyhedron(np.vstack([eye, -eye]),
+                        np.concatenate([limits[:, 1], -limits[:, 0]])).bounding_box()
         assert np.allclose(bb, limits, atol=1e-9)
 
     def test_simplex(self):
@@ -97,15 +99,6 @@ class TestConstruction:
         assert p.n_rows == 6 and p.dim == 3
         assert p.contains([2.0, -2.0, 0.0])
         assert not p.contains([0.0, 0.0, 2.1])
-
-    def test_pair_box(self):
-        p = box((0.0, 1.0), dim=2)
-        assert p.contains([0.5, 1.0])
-        assert not p.contains([-0.1, 0.5])
-
-    def test_scalar_without_dim_raises(self):
-        with pytest.raises(ValueError):
-            box(1.0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

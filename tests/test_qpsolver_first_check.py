@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qptrim import closedloop, qpsolver
@@ -24,10 +24,10 @@ def band_check(p, x, rows):
     """(min(b - G z0), FEAS (1 + max|b|)) over the solved rows, formed as
     the solver forms them after the fused check; the min of no rows is
     inf."""
-    b = p.rhs(x)
-    h = b - p.G @ (-p.hi_ft @ x)
+    b, G = p.rhs(x), p.G
     if rows is not None:
-        h, b = h[rows], b[rows]
+        b, G = b[rows], G[rows]
+    h = b - G @ (-p.hi_ft @ x)
     return h.min(initial=np.inf), FEAS * (1.0 + np.abs(b).max(initial=0.0))
 
 
@@ -91,6 +91,9 @@ def first_check_cases(rng, n_z, n_x, n_c, scale, spread):
 
 
 @settings(max_examples=300, deadline=None)
+@example(16, 9, 1, 1, 23.966296353178162, 1.028199023584258, -1.0, True)
+@example(57, 12, 2, 6, 18.748698415745157, 0.491222298837539, -1.0, True)
+@example(150, 12, 2, 1, 1.867191616391364, 1.8116186024124814, -1.0, True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_z=st.integers(1, 12),

@@ -53,7 +53,7 @@ def test_simple_known_solution():
     # min -x-y st x<=1, y<=2, x+y<=2.5, x,y>=0  ->  corner mixes
     C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     d = np.array([1.0, 2.0, 2.5])
-    res = lp_solve([-1.0, -1.0], C, d, bounds=(0.0, None))
+    res = lp_solve([-1.0, -1.0], C, d, bounds=[(0.0, None)] * 2)
     assert res.status == OPTIMAL
     assert np.isclose(res.objective, -2.5)
 
