@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .bench import CSV_HEADER, BenchConfig, run_bench
+from .bench import BenchConfig, run_bench
 from .closedloop import (
     MODES,
     InfeasibleAtStep,
@@ -24,11 +24,11 @@ from .closedloop import (
     default_offline_spacing,
     simulate,
 )
-from .lifted import SigmaTable, lift, sigma_table
+from .lifted import lift, sigma_table
 from .lipschitz import (DegenerateRow, check_kappa_spec, glc, glc_scaled,
                         resolve_kappa)
-from .mpc import (EmptyConstraintSet, NoConvergence, NoTermination, NotPd,
-                  scenario_from_dict)
+from .mpc import (BadScenario, EmptyConstraintSet, NoConvergence,
+                  NoTermination, NotPd, scenario_from_dict)
 from .mpqp import MpQp, samples_from_json
 from .plants import gen_double_integrator, gen_oscillating_masses
 from .qpsolver import solve_sample
@@ -348,7 +348,8 @@ def main(argv=None) -> int:
         raise SystemExit(str(exc)) from None
     except InfeasibleAtStep as exc:
         raise SystemExit(f"{args.command} stopped infeasible at {exc}") from None
-    except (NoConvergence, NoTermination, EmptyConstraintSet, NotPd) as exc:
+    except (BadScenario, NoConvergence, NoTermination, EmptyConstraintSet,
+            NotPd) as exc:
         raise SystemExit(
             f"{args.command}: cannot build the scenario: {exc}") from None
 

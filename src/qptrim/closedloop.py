@@ -19,9 +19,9 @@ import numpy as np
 from .lifted import SigmaTable
 from .lipschitz import glc_scaled_estimate
 from .mpqp import IndexSet, MpQp, SolvedSample
-from .qpsolver import _NO_ROWS, _sample, _solve, _unconstrained
+from .qpsolver import _NO_ROWS, _solve, _unconstrained
 from .tolerances import FEAS, feas_tol
-from .trim import _kept_mask, check_kappa, check_sample, nearest_index
+from .trim import _kept_mask, check_kappa, nearest_index
 
 MODES = ("full", "adaptive-online", "offline-nearest", "hybrid")
 # box draws behind a centers dataset's coverage estimate
@@ -149,17 +149,15 @@ def simulate(
     active set from it. The other modes keep neither. A trimmed
     step hands b and one (x_hat, G z*, active mask) triple per sample to
     the removal fold trim._kept_mask, which tests every row against
-    b - G z*, bitwise the values p.slacks(x', z*) gives. The
+    b - G z*, bitwise the slack p.triple(x', z*, b) gives. The
     loop's own triple is kept from its last step and not re-validated with
     check_sample: its active set is read from its own slacks, so only its
     feasibility is checked, to the solver's band feas_tol(b) at the b they
     were formed from, and a row violated beyond it raises InfeasibleAtStep.
-    The offline samples are validated by check_sample, since the dataset may
-    be user-built, but only once per dataset and problem
-    (OfflineDataset.triples): the first call that trims against a dataset
-    checks every sample before step 0, so an inconsistent sample raises
-    ValueError and an empty dataset EmptyDataset before any solve, and each
-    offline step then only looks up its nearest sample's triple.
+    Each offline step looks up its nearest sample's triple and LICQ flag,
+    formed where build_offline_dataset solved the sample. A dataset built
+    for another problem (not p, nor equal to it in H, F, G, S and w)
+    raises ValueError before step 0.
     An empty kept set returns the unconstrained minimizer.
 
     Every step after the first hands the solve a guessed active set: the
@@ -193,9 +191,11 @@ def simulate(
         raise ValueError(f"x0 has shape {x.shape}, expected ({scenario.n},)")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 {x.tolist()} is not finite")
-    triples = None
     if mode in ("offline-nearest", "hybrid"):
-        triples = offline.triples(p)   # checks each sample once, before step 0
+        q = offline.problem
+        if q is not p and not all(np.array_equal(getattr(q, a), getattr(p, a))
+                                  for a in ("H", "F", "G", "S", "w")):
+            raise ValueError("offline dataset was built for another problem")
     m = scenario.m
     meta = {"mode": mode, "kappa": kappa, "scenario": scenario.name}
     records: list = []
@@ -224,7 +224,7 @@ def simulate(
             samples.append(own)
         if mode != "adaptive-online":
             sample = offline.nearest(x)
-            triple, licq = triples[id(sample)]
+            triple, licq = offline.entries[id(sample)]
             samples.append(triple)
         if mode == "hybrid" and not (
                 licq and p.licq_holds(IndexSet.from_mask(own[2]))):
@@ -281,9 +281,7 @@ def simulate(
             # is exact
             if b is None:
                 b = p.rhs(x)
-            gz = p.G @ z
-            slack_prev, b_prev = b - gz, b
-            own = (x, gz, np.abs(slack_prev) <= p.act_band)
+            (own, slack_prev), b_prev = p.triple(x, z, b), b
         guess = None
         if len(active) and not scenario.terminal_rows[active].any():
             guess = scenario.row_shift[active]
@@ -297,48 +295,31 @@ def simulate(
 
 @dataclass
 class OfflineDataset:
-    """Pre-solved samples with a nearest-neighbor query.
+    """Samples build_offline_dataset solved for one problem, with a
+    nearest-neighbor query.
 
     coverage is the max distance from any state in the terminal set to its
     nearest sample: an exact cell bound for a grid, a sample-based estimate
     (coverage_is_estimate) for explicit centers.
 
-    The samples are held as a tuple, so the column-major copy of their
-    parameters that nearest_index searches, and the memo of their checks,
-    cannot drift from them. One memo slot holds the last problem the
-    samples were checked against and, for each sample under it, its
-    (x_hat, G z*, active mask) triple and whether its active rows are
-    independent (LICQ).
+    entries maps id(sample) to its (x_hat, G z*, active mask) triple under
+    `problem` and whether its active rows are independent (LICQ), both
+    formed where the build solved it. The samples are a tuple, so the
+    column-major copy of their parameters that nearest_index searches, and
+    the entries, cannot drift from them.
     """
 
+    problem: MpQp
     samples: tuple
+    entries: dict
     coverage: float
     coverage_is_estimate: bool
 
     def __post_init__(self):
-        self.samples = tuple(self.samples)
         self._points = np.asfortranarray([s.x_hat for s in self.samples])
-        self._checked = (None, None)    # (problem, entries by id(sample))
 
     def nearest(self, x) -> SolvedSample:
-        if not self.samples:
-            raise EmptyDataset("dataset has no samples")
         return self.samples[nearest_index(self._points, x)]
-
-    def triples(self, p: MpQp) -> dict:
-        """Each sample's ((x_hat, G z*, active mask), LICQ) under p, keyed
-        by id(sample), with G z* as check_sample returns it and LICQ
-        p.licq_holds(active). The first call with a problem (compared with
-        `is`) runs check_sample on every sample, so an inconsistent one
-        raises ValueError there; later calls return the memo. An empty
-        dataset raises EmptyDataset."""
-        if not self.samples:
-            raise EmptyDataset("dataset has no samples")
-        if self._checked[0] is not p:
-            self._checked = (p, {
-                id(s): (check_sample(p, s), p.licq_holds(s.active))
-                for s in self.samples})
-        return self._checked[1]
 
 
 def default_offline_spacing(scenario) -> float:
@@ -381,18 +362,23 @@ def build_offline_dataset(scenario, spacing: float | None = None,
     else:
         points = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
 
-    samples = []
+    samples, entries = [], {}
     anchor_kept = False
     for pt in points:
-        sample = _sample(p, p.parameter(pt))
-        if sample is None:
+        x = p.parameter(pt)
+        sol = _solve(p, x, None)[0]
+        if not sol.is_optimal:
             warnings.warn(f"skipping infeasible point {pt}")
             continue
+        triple, _ = p.triple(x, sol.z_star, p.rhs(x))
+        sample = SolvedSample(x, sol.z_star, IndexSet.from_mask(triple[2]))
         samples.append(sample)
+        entries[id(sample)] = (triple, p.licq_holds(sample.active))
         if spacing is not None and np.array_equal(pt, anchor):
             anchor_kept = True
     if not samples:
         raise EmptyDataset("no point survived the feasibility filter")
+    samples = tuple(samples)
 
     if spacing is not None:
         coverage = 0.5 * spacing * math.sqrt(n)
@@ -403,7 +389,7 @@ def build_offline_dataset(scenario, spacing: float | None = None,
             circumradius = float(
                 np.linalg.norm(corners - anchor, axis=1).max())
             coverage = min(coverage, circumradius)
-        return OfflineDataset(samples, coverage, False)
+        return OfflineDataset(p, samples, entries, coverage, False)
 
     rng = np.random.default_rng(0)
     draws = rng.uniform(bb[:, 0], bb[:, 1], size=(_COVERAGE_DRAWS, n))
@@ -414,7 +400,7 @@ def build_offline_dataset(scenario, spacing: float | None = None,
             continue
         worst = max(worst, float(
             np.linalg.norm(centers_arr - x, axis=1).min()))
-    return OfflineDataset(samples, worst, True)
+    return OfflineDataset(p, samples, entries, worst, True)
 
 
 def _clamped_steps(value: float, beta: float) -> float:

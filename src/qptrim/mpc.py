@@ -46,6 +46,10 @@ class NotPd(Exception):
     """Condensed quadratic term failed the positive-definiteness check."""
 
 
+class BadScenario(ValueError):
+    """A scenario dict lacks a key or holds an entry the build refuses."""
+
+
 def _check_pd(name, a):
     try:
         cholesky(np.asarray(a, dtype=float))
@@ -302,22 +306,29 @@ def terminal_ingredients(A, B, Q, R, X: Polyhedron, U: Polyhedron):
 
 def scenario_from_dict(data: dict) -> MpcScenario:
     """Build a scenario from the JSON layout: {A, B, Q, R, N, X, U,
-    terminal: "auto" | {C, d}, discretize: optional {Ac, Bc, h}}."""
-    if "discretize" in data and data["discretize"] is not None:
-        dz = data["discretize"]
-        A, B = zoh_discretize(dz["Ac"], dz["Bc"], float(dz["h"]))
-    else:
-        A = np.atleast_2d(np.asarray(data["A"], dtype=float))
-        B = np.atleast_2d(np.asarray(data["B"], dtype=float))
-    Q = np.atleast_2d(np.asarray(data["Q"], dtype=float))
-    R = np.atleast_2d(np.asarray(data["R"], dtype=float))
-    N = int(data["N"])
-    X = Polyhedron.from_dict(data["X"])
-    U = Polyhedron.from_dict(data["U"])
-    terminal = data.get("terminal", "auto")
-    if terminal == "auto":
-        P, _, XN = terminal_ingredients(A, B, Q, R, X, U)
-    else:
-        XN = Polyhedron.from_dict(terminal)
-        P = dare(A, B, Q, R)
-    return condense(A, B, Q, R, N, X, U, XN, P=P, name=data.get("name"))
+    terminal: "auto" | {C, d}, discretize: optional {Ac, Bc, h}}; a missing
+    key, or an entry the build refuses with TypeError or ValueError, raises
+    BadScenario naming it."""
+    try:
+        if "discretize" in data and data["discretize"] is not None:
+            dz = data["discretize"]
+            A, B = zoh_discretize(dz["Ac"], dz["Bc"], float(dz["h"]))
+        else:
+            A = np.atleast_2d(np.asarray(data["A"], dtype=float))
+            B = np.atleast_2d(np.asarray(data["B"], dtype=float))
+        Q = np.atleast_2d(np.asarray(data["Q"], dtype=float))
+        R = np.atleast_2d(np.asarray(data["R"], dtype=float))
+        N = int(data["N"])
+        X = Polyhedron.from_dict(data["X"])
+        U = Polyhedron.from_dict(data["U"])
+        terminal = data.get("terminal", "auto")
+        if terminal == "auto":
+            P, _, XN = terminal_ingredients(A, B, Q, R, X, U)
+        else:
+            XN = Polyhedron.from_dict(terminal)
+            P = dare(A, B, Q, R)
+        return condense(A, B, Q, R, N, X, U, XN, P=P, name=data.get("name"))
+    except KeyError as exc:
+        raise BadScenario(f"scenario lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BadScenario(str(exc)) from exc

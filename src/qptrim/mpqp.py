@@ -225,19 +225,23 @@ class MpQp:
         """Constraint right-hand side S x + w at parameter x."""
         return self.S @ np.asarray(x, dtype=float) + self.w
 
-    def slacks(self, x, z) -> np.ndarray:
-        """w + S x - G z; nonnegative on the feasible set."""
-        return self.rhs(x) - self.G @ np.asarray(z, dtype=float)
+    def triple(self, x, z, b) -> tuple:
+        """A point's (x, G z, active mask) triple, as the removal fold reads
+        it, and its slack b - G z at b = S x + w, nonnegative on the feasible
+        set; a row is active when its slack is within act_band of zero."""
+        gz = self.G @ z
+        slack = b - gz
+        return (x, gz, np.abs(slack) <= self.act_band), slack
 
     def active_set(self, x, z) -> IndexSet:
         """Indices whose slack magnitude is within act_band of zero."""
-        return IndexSet.from_mask(np.abs(self.slacks(x, z)) <= self.act_band)
+        return IndexSet.from_mask(self.triple(x, z, self.rhs(x))[0][2])
 
     def licq_holds(self, active: IndexSet) -> bool:
         """Numerical row rank of the active gradients equals their count."""
-        rows = self.G[active.zero_based()]
-        if rows.shape[0] == 0:
+        if not len(active):
             return True
+        rows = self.G[active.zero_based()]
         if rows.shape[0] > self.n_z:
             return False
         sv = np.linalg.svd(rows, compute_uv=False)

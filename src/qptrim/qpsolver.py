@@ -218,21 +218,13 @@ def _optimal(z, lam_w, n, work) -> QpSolution:
     return QpSolution(z, lam, OPTIMAL, 1 + len(work))
 
 
-def _sample(p: MpQp, x) -> SolvedSample | None:
-    """The full solve at a finite x as a sample, with its active set
-    p.active_set(x, z), or None when infeasible."""
-    sol = _solve(p, x, None)[0]
-    if not sol.is_optimal:
-        return None
-    return SolvedSample(x, sol.z_star, p.active_set(x, sol.z_star))
-
-
 def solve_sample(p: MpQp, x) -> SolvedSample:
     """Solve the full problem at x and package it as a reusable sample,
     with the active set read from the minimizer's slacks. A parameter that
-    is not finite or not of length n_x raises ValueError."""
+    is not finite or not of length n_x raises ValueError, as does an
+    infeasible problem."""
     x = p.parameter(x)
-    sample = _sample(p, x)
-    if sample is None:
+    sol = _solve(p, x, None)[0]
+    if not sol.is_optimal:
         raise ValueError(f"problem is infeasible at x={np.asarray(x)}")
-    return sample
+    return SolvedSample(x, sol.z_star, p.active_set(x, sol.z_star))

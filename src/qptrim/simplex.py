@@ -45,9 +45,14 @@ def _expand_bounds(bounds, n):
     hi = np.full(n, np.inf)
     if bounds is None:
         return lo, hi
-    if len(bounds) != n:
-        raise ValueError(f"got {len(bounds)} bound pairs for {n} variables")
-    for j, (a, b) in enumerate(bounds):
+    try:
+        pairs = [(a, b) for a, b in bounds]
+    except (TypeError, ValueError):
+        raise ValueError("bounds must be None or one (lo, hi) pair per "
+                         f"variable, got {bounds!r}") from None
+    if len(pairs) != n:
+        raise ValueError(f"got {len(pairs)} bound pairs for {n} variables")
+    for j, (a, b) in enumerate(pairs):
         lo[j] = -np.inf if a is None else float(a)
         hi[j] = np.inf if b is None else float(b)
         if lo[j] > hi[j]:

@@ -11,14 +11,16 @@ multi-sample path is gated behind an explicit caller assertion.
 
 Every caller reaches the test through one fold, _kept_mask, which takes
 the right-hand side S x + w at x and one (x_hat, G z*, active mask) triple
-per sample. check_sample builds each triple: it computes the sample's
-slack once and holds it to the solver's own feasibility band. trim_multi
-folds the triples of its samples and tests LICQ only when two or more
-samples fold; trim_single is its one-sample call. closedloop.simulate
-calls the fold directly: it checks every offline sample once per dataset
-and problem, before its first step, and checks only the feasibility of
-the sample it solved itself, to the same band. nearest_index, which picks
-the offline sample, sums squared distances one coordinate at a time.
+per sample, as MpQp.triple forms it. check_sample checks a sample that
+enters from outside the program and returns its triple: it computes the
+sample's slack once and holds it to the solver's own feasibility band.
+trim_multi folds the triples of its samples and tests LICQ only when two
+or more samples fold; trim_single is its one-sample call.
+closedloop.simulate calls the fold directly, with the triples that
+build_offline_dataset formed as it solved its samples, and checks only
+the feasibility of the sample it solved itself, to the same band.
+nearest_index, which picks the offline sample, sums squared distances one
+coordinate at a time.
 """
 
 import json
@@ -72,17 +74,15 @@ def check_sample(p: MpQp, sample: SolvedSample) -> tuple:
             f"problem (n_x={p.n_x}, n_z={p.n_z})"
         )
     b = p.rhs(x)
-    gz = p.G @ z
-    slack = b - gz
+    triple, slack = p.triple(x, z, b)
     if slack.min(initial=0.0) < -feas_tol(b):
         bad = int(np.argmin(slack)) + 1
         raise ValueError(f"sample infeasible at row {bad}: slack {slack[bad - 1]:.3e}")
-    active = np.abs(slack) <= p.act_band
-    if IndexSet.from_mask(active) != sample.active:
+    if IndexSet.from_mask(triple[2]) != sample.active:
         raise ValueError(
             f"sample active set {sample.active} inconsistent with slacks"
         )
-    return x, gz, active
+    return triple
 
 
 def check_kappa(kappa) -> None:

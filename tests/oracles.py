@@ -184,8 +184,8 @@ def reference_certify(p, kappa, sample, x, outcome):
     x_hat = np.atleast_1d(np.asarray(sample.x_hat, dtype=float))
     radius = float(kappa) * float(np.linalg.norm(x - x_hat))
     j = outcome.removed.zero_based()
-    here = p.slacks(x, sample.z_star)[j]
-    at_sample = p.slacks(x_hat, sample.z_star)[j]
+    here = (p.rhs(x) - p.G @ sample.z_star)[j]
+    at_sample = (p.rhs(x_hat) - p.G @ sample.z_star)[j]
     return bool(np.all(at_sample > p.act_band[j]) and np.all(here >= 0.0)
                 and np.all(here >= radius * p.g_row_norms[j]))
 

@@ -197,6 +197,31 @@ def test_unbuildable_scenario_exits_with_one_line(tmp_path):
         assert "\n" not in text
 
 
+_SCENARIO = {
+    "A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "N": 2,
+    "X": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]},
+    "U": {"C": [[1.0], [-1.0]], "d": [1.0, 1.0]}, "terminal": "auto"}
+
+
+@pytest.mark.parametrize("argv", [["invariant-set"], ["mpc-sim", "--x0", "0"],
+                                  ["bench", "--draws", "1", "--steps", "1"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("data, message", [
+    ({**_SCENARIO, "Q": [[-1.0]]}, "Q must be symmetric positive definite"),
+    ({k: v for k, v in _SCENARIO.items() if k != "B"}, "scenario lacks 'B'"),
+    ({**_SCENARIO, "N": None}, "int() argument must be"),
+], ids=["negative-Q", "no-B", "null-N"])
+def test_unreadable_scenario_file_exits_with_one_line(tmp_path, argv, data,
+                                                      message):
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(f), *argv[1:]])
+    text = str(exc.value)
+    assert text.startswith(f"{argv[0]}: cannot build the scenario: {message}")
+    assert "\n" not in text
+
+
 def test_invariant_set_builtin_scenario(capsys):
     assert main(["invariant-set", "double-integrator"]) == 0
     d = _json_out(capsys)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qptrim import closedloop
+from qptrim import closedloop, trim
 from qptrim.closedloop import (
     ClosedLoopTrace,
     DegenerateTrace,
@@ -31,7 +31,7 @@ from qptrim.mpqp import MpQp, SolvedSample
 from qptrim.plants import gen_double_integrator, gen_oscillating_masses
 from qptrim.polyhedra import box
 from qptrim.qpsolver import qp_solve, solve_sample
-from qptrim.trim import LicqViolation, trim_multi, trim_single
+from qptrim.trim import LicqViolation, check_sample, trim_multi, trim_single
 from helpers import within
 from test_loop_golden import CASES, STEPS, golden
 
@@ -56,6 +56,17 @@ def offline_datasets():
     centers = [0.8 * grid.samples[k].x_hat for k in picks]
     centers.append(centers[0])
     return {"grid": grid, "centers": build_offline_dataset(sc, centers=centers)}
+
+
+@functools.lru_cache(maxsize=None)
+def masses_case():
+    """Masses-3, its starts, and a centers dataset of the states a full
+    run visits from other starts."""
+    sc = scenario_from_dict(gen_oscillating_masses(3, h=0.5, N=10))
+    centers = [r.x for x0 in draw_initial_states(sc, 2, 2)
+               for r in simulate(sc, x0, 10).records]
+    return (sc, draw_initial_states(sc, 4, 1),
+            build_offline_dataset(sc, centers=centers))
 
 
 def first_closest(samples, x):
@@ -271,12 +282,7 @@ class TestTrimsExactly:
         self.check(sc, draw_initial_states(sc, 6, 0), 30, offline)
 
     def test_masses(self):
-        sc = scenario_from_dict(gen_oscillating_masses(3, h=0.5, N=10))
-        starts = draw_initial_states(sc, 4, 1)
-        # offline samples at states a full run visits from other starts
-        centers = [r.x for x0 in draw_initial_states(sc, 2, 2)
-                   for r in simulate(sc, x0, 10).records]
-        offline = build_offline_dataset(sc, centers=centers)
+        sc, starts, offline = masses_case()
         self.check(sc, starts[:3], 20, offline)
 
 
@@ -404,34 +410,53 @@ class TestOfflineDataset:
         with pytest.raises(ValueError, match="spacing must be finite"):
             build_offline_dataset(di_scenario(), spacing=spacing)
 
-    def test_samples_checked_once_per_dataset_and_problem(self, monkeypatch):
+    def test_build_and_trimmed_loop_call_no_check_sample(self, monkeypatch):
+        # the build forms every sample's triple as it solves it, so
+        # check_sample runs only on samples that enter from outside
         sc = di_scenario()
-        grid = offline_datasets()["grid"]
-        # a dataset of its own, whose memo no other test has filled
-        ds = closedloop.OfflineDataset(grid.samples, grid.coverage, False)
         checked = []
-        real = closedloop.check_sample
-        monkeypatch.setattr(closedloop, "check_sample",
-                            lambda p, s: checked.append(id(s)) or real(p, s))
-        once = sorted(id(s) for s in ds.samples)
-        x0 = boundary_point(sc.XN, [-1.0, 0.3])
-        first = simulate(sc, x0, 20, mode="offline-nearest", offline=ds)
-        again = simulate(sc, x0, 20, mode="offline-nearest", offline=ds)
-        assert sorted(checked) == once
-        assert np.array_equal(again.inputs(), first.inputs())
-        # a different problem object, equal in value, is checked afresh
+        real = trim.check_sample
+        monkeypatch.setattr(trim, "check_sample",
+                            lambda p, s: checked.append(s) or real(p, s))
+        ds = build_offline_dataset(sc, spacing=0.5)
+        # a different problem object, equal in value, is accepted
         copy = dataclasses.replace(
             sc, condensed=MpQp.from_dict(sc.condensed.to_dict()))
-        simulate(copy, x0, 20, mode="offline-nearest", offline=ds)
-        assert sorted(checked) == sorted(2 * once)
+        assert copy.condensed is not sc.condensed
+        x0 = boundary_point(sc.XN, [-1.0, 0.3])
+        for mode in ("offline-nearest", "hybrid"):
+            first = simulate(sc, x0, 20, mode=mode, offline=ds)
+            again = simulate(copy, x0, 20, mode=mode, offline=ds)
+            assert np.array_equal(again.inputs(), first.inputs()), mode
+        assert checked == []
+
+    @pytest.mark.parametrize("case", ["grid", "masses"])
+    def test_entries_are_check_samples_triples(self, case):
+        # check_sample stays the oracle for the triples the build forms
+        if case == "grid":
+            sc = scenario_from_dict(gen_double_integrator(h=0.5, N=10))
+            ds = build_offline_dataset(sc, spacing=0.2)
+            assert len(ds.samples) == 349
+        else:
+            sc, _, ds = masses_case()
+        p = sc.condensed
+        assert ds.problem is p
+        assert isinstance(ds.samples, tuple)
+        assert len(ds.entries) == len(ds.samples)
+        for s in ds.samples:
+            (x_hat, gz, active), licq = ds.entries[id(s)]
+            want = check_sample(p, s)
+            assert x_hat is want[0]
+            assert gz.tobytes() == want[1].tobytes()
+            assert np.array_equal(active, want[2])
+            assert licq == p.licq_holds(s.active)
 
     def test_samples_cannot_change_after_the_build(self):
-        # the searched points and the memo of checks are built from the
-        # samples, so a sample inserted later would never be found and
-        # the later samples' indices would no longer match their points
+        # the searched points and the entries are built from the samples,
+        # so a sample inserted later would never be found and the later
+        # samples' indices would no longer match their points
         sc = scenario_from_dict(gen_double_integrator(h=0.5, N=3))
-        listed = list(build_offline_dataset(sc, spacing=0.5).samples)
-        ds = closedloop.OfflineDataset(listed, 1.0, True)
+        ds = build_offline_dataset(sc, spacing=0.5)
         assert len(ds.samples) == 65
         x = [0.05, 0.05]
         before = ds.nearest(x)
@@ -440,24 +465,23 @@ class TestOfflineDataset:
             ds.samples.insert(0, s)
         with pytest.raises(TypeError):
             ds.samples[0] = s
-        listed.insert(0, s)
         assert len(ds.samples) == 65
         assert ds.nearest(x) is before
 
-    def test_hybrid_reads_offline_licq_from_the_memo(self, monkeypatch):
+    def test_hybrid_reads_offline_licq_from_the_build(self, monkeypatch):
         sc = di_scenario()
-        grid = offline_datasets()["grid"]
-        ds = closedloop.OfflineDataset(grid.samples, grid.coverage, False)
         calls = []
         real = MpQp.licq_holds
         monkeypatch.setattr(MpQp, "licq_holds",
                             lambda p, active: calls.append(active)
                             or real(p, active))
+        ds = build_offline_dataset(sc, spacing=0.5)
+        assert len(calls) == len(ds.samples)
+        # a step tests only the loop's own active rows
         x0 = boundary_point(sc.XN, [-1.0, 0.3])
+        calls.clear()
         first = simulate(sc, x0, 20, mode="hybrid", offline=ds)
-        assert len(calls) == len(ds.samples) + 19
-        # once the memo holds every sample's LICQ, a step tests only the
-        # loop's own active rows
+        assert len(calls) == 19
         calls.clear()
         again = simulate(sc, x0, 20, mode="hybrid", offline=ds)
         assert len(calls) == 19
@@ -465,37 +489,19 @@ class TestOfflineDataset:
 
     @pytest.mark.parametrize("mode", ["offline-nearest", "hybrid"])
     def test_bad_dataset_rejected_before_step_0(self, monkeypatch, mode):
+        # a dataset built for another problem: same shapes, other w
         sc = di_scenario()
-        grid = offline_datasets()["grid"].samples
+        p = sc.condensed
+        other = dataclasses.replace(
+            sc, condensed=MpQp(p.H, p.F, p.G, p.S, 2.0 * p.w))
+        ds = build_offline_dataset(other, spacing=0.5)
         x0 = boundary_point(sc.XN, [-1.0, 0.3])
-        states = simulate(sc, x0, 20).states()
-        dist = np.array([np.linalg.norm(states - s.x_hat, axis=1)
-                         for s in grid])
-        # the good sample is nearest all along; the bad one never is
-        good = grid[int(np.argmin(dist.max(axis=1)))]
-        far = grid[int(np.argmax(dist.min(axis=1)))]
-        assert dist.max(axis=1).min() < dist.min(axis=1).max() / 2
-        bad = SolvedSample(far.x_hat, far.z_star, [sc.condensed.n_c])
-        assert bad.active != far.active
         solves = []
         monkeypatch.setattr(closedloop, "_unconstrained",
                             lambda *a, **kw: solves.append(a))
-        ds = closedloop.OfflineDataset([good, bad], 1.0, True)
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="another problem"):
             simulate(sc, x0, 20, mode=mode, offline=ds)
-        empty = closedloop.OfflineDataset([], 0.0, True)
-        with pytest.raises(EmptyDataset):
-            simulate(sc, x0, 20, mode=mode, offline=empty)
         assert solves == []
-
-    def test_inconsistent_sample_still_rejected(self):
-        sc = di_scenario()
-        good = offline_datasets()["grid"].samples[0]
-        wrong = SolvedSample(good.x_hat, good.z_star, [sc.condensed.n_c])
-        assert wrong.active != good.active
-        ds = closedloop.OfflineDataset([wrong], 1.0, True)
-        with pytest.raises(ValueError, match="inconsistent"):
-            simulate(sc, good.x_hat, 3, mode="offline-nearest", offline=ds)
 
 
 def synthetic_single_row(w=10.0):

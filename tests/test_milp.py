@@ -159,6 +159,12 @@ def test_bad_integer_index_rejected():
         milp_solve([1.0, 1.0], integer=[5])
 
 
+def test_single_bound_pair_named():
+    with pytest.raises(ValueError, match=r"bounds must be None or one "
+                                         r"\(lo, hi\) pair per variable"):
+        milp_solve([1.0, 1.0], bounds=(0.0, 1.0), integer=[0])
+
+
 def brute_force_integer(cost, C, d, bounds, ranges, n_int):
     """Enumerate the first n_int variables over the given integer ranges;
     optimize the continuous tail by a cold LP."""

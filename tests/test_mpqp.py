@@ -129,7 +129,9 @@ class TestQueries:
     def test_slacks_sign_convention(self):
         p = example_two_halfplanes()
         # at x=-1, z=-3: constraint 1 has slack 2, constraint 2 is tight
-        assert np.allclose(p.slacks([-1.0], [-3.0]), [2.0, 0.0])
+        (_, _, active), slack = p.triple([-1.0], [-3.0], p.rhs([-1.0]))
+        assert np.allclose(slack, [2.0, 0.0])
+        assert active.tolist() == [False, True]
 
 
 class TestScaling:

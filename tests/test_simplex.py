@@ -159,6 +159,13 @@ def test_shape_validation():
         lp_solve([1.0], bounds=[(2.0, 1.0)])
 
 
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), 0.0, [(0.0, 1.0, 2.0)] * 2])
+def test_bounds_not_in_pairs_named(bounds):
+    with pytest.raises(ValueError, match=r"bounds must be None or one "
+                                         r"\(lo, hi\) pair per variable"):
+        lp_solve([1.0, 1.0], bounds=bounds)
+
+
 def _rebound_cases(rng):
     """Random LPs with box rows at +-[1, 3] and variable bounds at +-[0.3,
     2.5], so that either can be active. Some variables are one-sided (the
