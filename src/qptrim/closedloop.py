@@ -293,7 +293,7 @@ def simulate(
     return ClosedLoopTrace(records, status="ok", meta=meta)
 
 
-@dataclass
+@dataclass(eq=False)
 class OfflineDataset:
     """Samples build_offline_dataset solved for one problem, with a
     nearest-neighbor query.
@@ -306,7 +306,7 @@ class OfflineDataset:
     `problem` and whether its active rows are independent (LICQ), both
     formed where the build solved it. The samples are a tuple, so the
     column-major copy of their parameters that nearest_index searches, and
-    the entries, cannot drift from them.
+    the entries, cannot drift from them. Datasets compare by identity.
     """
 
     problem: MpQp

@@ -201,6 +201,11 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
     Strict inequalities in the encoding are relaxed to non-strict, which
     leaves the infimum unchanged. For i >= n_c the box diagonal is
     returned, as by sigma_sample.
+
+    The search first tries one rounding of the root relaxation: count the
+    i+1 rows nearest to its v and exempt the rest. Where i+1 facets meet
+    inside the box (sigma_i = 0) that leaf meets the root bound and ends
+    the search at the root; otherwise the search runs as without it.
     """
     _require_box(L)
     if i < 1:
@@ -233,12 +238,21 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
     cost = np.zeros(n)
     cost[n_v] = 1.0
     bounds = [tuple(row) for row in L.box] + [(0.0, m)] + [(0.0, 1.0)] * n_c
+
+    def rounding(x):
+        """Count the i+1 rows nearest to the relaxation's v, exempt the
+        rest."""
+        delta = np.ones(n_c)
+        delta[np.argsort(L.distances(x[:n_v]), kind="stable")[:i + 1]] = 0.0
+        return delta
+
     res = milp_solve(
         cost,
         np.vstack(rows),
         np.concatenate(rhs),
         bounds,
         integer=range(n_v + 1, n),
+        rounding=rounding,
     )
     if not res.is_optimal:
         raise UnboundedLift(f"threshold search returned {res.status}")

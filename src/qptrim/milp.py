@@ -7,18 +7,23 @@ deterministic.
 
 Among nodes with equal bounds the most recently pushed pops first, so a
 search whose nodes all share one bound (every sigma_i = 0 problem) dives to
-an integral leaf instead of sweeping the tree breadth first. The search
-starts with no incumbent: in best-first order the bound alone decides which
-nodes pop, so a seeded upper bound would only keep off the heap children
-that never pop.
+an integral leaf instead of sweeping the tree breadth first. A caller may
+pass a rounding of the root's point (a rounding heuristic; Berthold 2006):
+the leaf that fixes every integer variable there is solved once, and when
+its objective meets the root bound it is optimal and ends the search at the
+root. A leaf that misses the bound is dropped, not kept as an incumbent
+(that would change which leaf the search ends on, and so the last bits of
+its value): the search then runs as without it, from no incumbent, where
+the bound alone decides which nodes pop.
 
 Only the root relaxation is a cold two-phase `lp_solve`. A child differs
-from its parent by one bound, so the parent's optimal basis stays dual
-feasible: each child re-optimises a copy of its parent's simplex state with
-the dual simplex (`Relaxation.rebound`). A child is solved cold instead when
-its branched variable sits on two tableau columns (a free integer
-variable), when its dual loop reaches _DUAL_CAP pivots, or when its point
-misses the original rows or bounds by more than FEAS.
+from its parent by one bound, and the rounded leaf from the root by the
+bounds of its integer variables, so the parent's optimal basis stays dual
+feasible: each re-optimises a copy of its parent's simplex state with the
+dual simplex (`Relaxation.rebound`). It is solved cold instead when a
+changed variable sits on two tableau columns (a free integer variable),
+when its dual loop reaches _DUAL_CAP pivots, or when its point misses the
+original rows or bounds by more than FEAS.
 """
 
 import itertools
@@ -58,6 +63,7 @@ def milp_solve(
     d=None,
     bounds=None,
     integer=(),
+    rounding=None,
 ) -> MilpResult:
     """Minimize cost@x subject to C@x <= d and bounds, with x[j] integral
     for every j in `integer`. `bounds` takes the form `lp_solve` takes:
@@ -68,6 +74,13 @@ def milp_solve(
     improve the best integral point found by more than 1e-9 are pruned. An
     OPTIMAL result always carries that point, with its integer entries
     rounded exactly. Raises MilpTimeout after _NODE_LIMIT child nodes.
+
+    `rounding`, when given, maps the root's relaxation point to integral
+    values, inside their bounds, for the integer variables in ascending
+    index order. When the root is fractional, the leaf that fixes them
+    there is solved first (one more node); if its objective meets the
+    root bound within 1e-9 it is optimal and returned, else it is dropped
+    and the search runs as without it.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.size
@@ -92,12 +105,15 @@ def milp_solve(
             and np.all(x <= hi_n + FEAS * (1.0 + np.abs(hi_n)))
         )
 
-    def child(parent, j, lo_c, hi_c):
-        """The child's relaxation, re-optimised from its parent's tableau
-        where that serves, else cold."""
+    def fractional(x):
+        return [j for j in int_vars if abs(x[j] - round(x[j])) > INT_TOL]
+
+    def child(parent, changes, lo_c, hi_c):
+        """The relaxation under the (j, lo, hi) bound changes, re-optimised
+        from its parent's tableau where that serves, else cold."""
         rel = None
         if parent.state is not None:
-            rel = parent.state.rebound(j, lo_c[j], hi_c[j], _DUAL_CAP)
+            rel = parent.state.rebound(changes, _DUAL_CAP)
         if rel is None or (rel.status == OPTIMAL and not holds(rel.x, lo_c, hi_c)):
             rel = cold(lo_c, hi_c)
         return rel
@@ -108,6 +124,21 @@ def milp_solve(
         return MilpResult(UNBOUNDED, None, None, nodes)
     if root.status != OPTIMAL:
         return MilpResult(INFEASIBLE, None, None, nodes)
+    if rounding is not None and fractional(root.x):
+        vals = np.asarray(rounding(root.x), dtype=float)
+        if not np.all((lo[int_vars] <= vals) & (vals <= hi[int_vars])
+                      & (vals == np.round(vals))):
+            raise ValueError(f"rounding gave {vals}, not integral values "
+                             "inside the integer variables' bounds")
+        lo_f, hi_f = lo.copy(), hi.copy()
+        lo_f[int_vars] = hi_f[int_vars] = vals
+        nodes += 1
+        leaf = child(root, list(zip(int_vars, vals, vals)), lo_f, hi_f)
+        if (leaf.status == OPTIMAL
+                and leaf.objective - 1e-9 <= root.objective):
+            x = leaf.x.copy()
+            x[int_vars] = vals
+            return MilpResult(OPTIMAL, x, leaf.objective, nodes)
 
     best_val = math.inf
     best_x = None
@@ -118,14 +149,14 @@ def milp_solve(
         if bound >= best_val - 1e-9:
             break
         x = rel.x
-        fractional = [j for j in int_vars if abs(x[j] - round(x[j])) > INT_TOL]
-        if not fractional:
+        off = fractional(x)
+        if not off:
             best_val = bound
             best_x = x.copy()
             best_x[int_vars] = np.round(best_x[int_vars])
             continue
-        j = max(fractional, key=lambda k: min(x[k] - math.floor(x[k]),
-                                              math.ceil(x[k]) - x[k]))
+        j = max(off, key=lambda k: min(x[k] - math.floor(x[k]),
+                                       math.ceil(x[k]) - x[k]))
         split = math.floor(x[j])
         for child_lo, child_hi in ((split + 1.0, hi_n[j]), (lo_n[j], split)):
             if child_lo > child_hi:
@@ -137,7 +168,7 @@ def milp_solve(
             lo_c, hi_c = lo_n.copy(), hi_n.copy()
             lo_c[j], hi_c[j] = child_lo, child_hi
             nodes += 1
-            sub = child(rel, j, lo_c, hi_c)
+            sub = child(rel, [(j, lo_c[j], hi_c[j])], lo_c, hi_c)
             if sub.status == OPTIMAL and sub.objective < best_val - 1e-9:
                 heapq.heappush(heap, (sub.objective, -next(tick), sub, lo_c, hi_c))
 

@@ -289,9 +289,10 @@ class MpQp:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class SolvedSample:
-    """A solved parameter: (x_hat, z*(x_hat), active set of the full problem)."""
+    """A solved parameter: (x_hat, z*(x_hat), active set of the full problem).
+    Compared by identity, since its fields are arrays."""
 
     x_hat: np.ndarray
     z_star: np.ndarray

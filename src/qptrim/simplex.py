@@ -1,5 +1,5 @@
 """Dense LP solver: bounded-variable primal simplex, two phases, and a dual
-simplex that re-optimises after a bound change.
+simplex that re-optimises after bound changes.
 
 Solves   min cost @ x   s.t.  C @ x <= d,  lo <= x <= hi.
 
@@ -9,11 +9,12 @@ objective progress it switches to Bland's rule, which guarantees termination.
 Deterministic by construction (no randomness, fixed tie-breaking).
 
 An optimal result keeps its final simplex state (`LpResult.state`). Tightening
-the bounds of one variable leaves that basis dual feasible, so
+the bounds of any variables leaves that basis dual feasible, so
 `Relaxation.rebound` re-optimises a copy with the dual simplex (Lemke 1954):
 the most violated basic row leaves, and the entering column minimises
 |r_q / T[i, q]| over the columns that can move that row back to its bound.
-Branch and bound (milp.py) re-optimises every child node this way.
+Branch and bound (milp.py) re-optimises every child node this way, and the
+root's rounded leaf, which fixes every integer variable at once.
 """
 
 import copy
@@ -175,6 +176,14 @@ class _Tableau:
         self.in_basis[enter] = True
         self.pivot(leave_row, enter)
 
+    def keep_columns(self, keep):
+        """Delete the columns where keep is False; basic ones must stay."""
+        self.basis = (np.cumsum(keep) - 1)[self.basis]
+        for name in ("T", "lower", "upper", "val", "at_upper", "in_basis"):
+            arr = getattr(self, name)
+            setattr(self, name, arr[:, keep] if arr.ndim == 2 else arr[keep])
+        self.n = self.T.shape[1]
+
     def pivot(self, row, col):
         prow = self.T[row] / self.T[row, col]
         self.T -= np.outer(self.T[:, col], prow)
@@ -325,7 +334,13 @@ class Relaxation:
             if tab.value(phase1) > 1e-9 * (1.0 + self.d_max):
                 return LpResult(INFEASIBLE, iterations=tab.iterations)
             _evict_artificials(tab, ny + m)
-            # lock artificials at zero so phase 2 never moves them
+            # drop the artificials that left the basis, so no later pivot
+            # updates them; one still basic on a redundant row stays,
+            # locked at zero so phase 2 never moves it
+            keep = np.ones(n_tot, dtype=bool)
+            keep[ny + m:] = tab.in_basis[ny + m:]
+            tab.keep_columns(keep)
+            self.ycost = self.ycost[keep]
             tab.upper[ny + m:] = 0.0
         if not tab.run(self.ycost, max_iter, bland_after):
             return LpResult(UNBOUNDED, iterations=tab.iterations)
@@ -338,22 +353,24 @@ class Relaxation:
         return LpResult(OPTIMAL, x, float(self.cost @ x), self.tab.iterations,
                         state=self)
 
-    def rebound(self, j, lo, hi, max_pivots) -> LpResult | None:
-        """Re-optimise a copy under lo <= x[j] <= hi, an interval inside the
-        current bounds of x[j], with the dual simplex from this basis.
+    def rebound(self, changes, max_pivots) -> LpResult | None:
+        """Re-optimise a copy under new bounds, with the dual simplex from
+        this basis. changes lists (j, lo, hi) triples; each interval must
+        lie inside the current bounds of x[j].
 
         Returns the copy's LpResult (optimal or infeasible; iterations counts
-        its dual pivots), or None when x[j] is free here (two columns) or the
-        dual loop stops at max_pivots."""
-        if self.free[j]:
+        its dual pivots), or None when some x[j] is free here (two columns)
+        or the dual loop stops at max_pivots."""
+        if any(self.free[j] for j, _, _ in changes):
             return None
         child = copy.copy(self)
         child.tab = self.tab.copy()
-        base = self.base[j]
-        if self.sign[j] > 0:
-            child.tab.set_bounds(self.col[j], lo - base, hi - base)
-        else:
-            child.tab.set_bounds(self.col[j], base - hi, base - lo)
+        for j, lo, hi in changes:
+            base = self.base[j]
+            if self.sign[j] > 0:
+                child.tab.set_bounds(self.col[j], lo - base, hi - base)
+            else:
+                child.tab.set_bounds(self.col[j], base - hi, base - lo)
         if not child.tab.m:   # no rows: set_bounds left it optimal
             return child._result()
         done = child.tab.dual(self.ycost, max_pivots)
@@ -374,7 +391,10 @@ def _evict_artificials(tab, first_art):
             (np.abs(tab.T[row, :first_art]) > 1e-9) & ~tab.in_basis[:first_art]
         )
         if candidates.size == 0:
-            continue  # redundant row; artificial stays basic at zero
+            # redundant row; artificial stays basic at zero. lp_solve never
+            # gets here: an artificial's own slack column is the exact
+            # negative of its column, so that slack is always a candidate
+            continue
         enter = int(candidates[0])
         tab.in_basis[var] = False
         tab.at_upper[var] = False

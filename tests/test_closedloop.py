@@ -354,6 +354,15 @@ class TestOfflineDataset:
             x = np.array(data.draw(st.tuples(coord, coord), label="x"))
         assert ds.nearest(x) is ds.samples[first_closest(ds.samples, x)]
 
+    def test_equality_is_identity(self):
+        # array fields: a field-wise == would raise on two alike datasets
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=3))
+        a = build_offline_dataset(sc, spacing=0.5)
+        b = build_offline_dataset(sc, spacing=0.5)
+        assert a == a and not a == b and a != b
+        assert a.samples[0] == a.samples[0]
+        assert not a.samples[0] == b.samples[0]
+
     def test_nearest_rejects_nan_query(self):
         sc = scenario_from_dict(gen_double_integrator(h=0.5, N=5))
         ds = build_offline_dataset(sc, spacing=0.5)

@@ -21,6 +21,8 @@ from qptrim.lifted import (
     theorem3_bound,
 )
 from qptrim.lipschitz import glc
+from qptrim.mpc import scenario_from_dict
+from qptrim.plants import gen_double_integrator
 from qptrim.mpqp import example_two_halfplanes
 from qptrim.qpsolver import solve_sample
 from qptrim.trim import trim_single
@@ -197,6 +199,55 @@ class TestSigmaMilp:
             for i in range(1, min(3, L.n_c - 1) + 1):
                 assert sigma_milp(L, i) == pytest.approx(
                     subset_lp_sigma(L, i), abs=1e-7)
+
+    def test_rounded_leaf_leaves_every_value_bitwise(self, monkeypatch):
+        # check 4's polytopes: with and without the root's rounded leaf,
+        # every threshold is the same float, and the leaf closes some
+        # searches at the root but not all
+        import qptrim.lifted as lifted_mod
+
+        rng = np.random.default_rng(38)
+        polys = [_random_origin_polytope(rng, n_v, int(rng.integers(n_v + 2, 11)),
+                                         half)
+                 for n_v, half in ((2, 1.5), (3, 1.2)) for _ in range(5)]
+        real = lifted_mod.milp_solve
+        nodes = []
+
+        def plain(*args, rounding, **kwargs):
+            return real(*args, **kwargs)
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            nodes.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(lifted_mod, "milp_solve", counting)
+        rounded = [sigma_milp(L, i).hex() for L in polys for i in range(1, L.n_c)]
+        monkeypatch.setattr(lifted_mod, "milp_solve", plain)
+        searched = [sigma_milp(L, i).hex() for L in polys for i in range(1, L.n_c)]
+        assert rounded == searched
+        assert 0 < nodes.count(2) < len(nodes)
+
+    def test_double_integrator_thresholds_close_at_the_root(self, monkeypatch):
+        # sigma_i = 0 for i = 1..4 on the double integrator at N=4: the
+        # rounded leaf meets the root bound, so each search takes 2 nodes
+        import qptrim.lifted as lifted_mod
+
+        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=4))
+        box = np.vstack([sc.XN.bounding_box(),
+                         np.tile(sc.U.bounding_box(), (sc.N, 1))])
+        L = lift(sc.condensed, box=box)
+        real = lifted_mod.milp_solve
+        nodes = []
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            nodes.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(lifted_mod, "milp_solve", counting)
+        assert [sigma_milp(L, i) for i in range(1, 5)] == [0.0] * 4
+        assert nodes == [2] * 4
 
     def test_big_m_probed_once_per_polyhedron(self, monkeypatch):
         import qptrim.lifted as lifted_mod

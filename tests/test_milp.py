@@ -293,3 +293,69 @@ def test_warm_point_off_the_rows_is_solved_cold(monkeypatch):
         assert res.objective == pytest.approx(ref, abs=1e-9)
         assert np.all(C @ res.x <= d + 1e-9)
         assert len(calls) > 1
+
+
+def test_rounding_that_misses_the_root_bound_changes_nothing():
+    # no exemptions at all: the leaf is feasible but above the root bound,
+    # so it is dropped and the search runs as without it, one node later
+    rng = np.random.default_rng(27)
+    for _ in range(6):
+        cost, C, d, bounds = tied_bound_problem(rng)
+        plain = milp_solve(cost, C, d, bounds, integer=range(6))
+        res = milp_solve(cost, C, d, bounds, integer=range(6),
+                         rounding=lambda x: np.zeros(6))
+        assert res.nodes == plain.nodes + 1 > 3
+        assert res.objective == plain.objective
+        assert np.array_equal(res.x, plain.x)
+
+
+def closing_case(rng):
+    """A tied-bound problem with r held at or above its optimum, so the
+    root bound is the optimum, and a rounding to an optimal assignment."""
+    cost, C, d, bounds = tied_bound_problem(rng)
+    ref, ref_x = brute_force_binary(cost, C, d, 6, 3, bounds[6:])
+    bounds[-1] = (ref, None)
+    return cost, C, d, bounds, ref, lambda x: ref_x[:6]
+
+
+def test_rounding_that_meets_the_root_bound_closes_at_the_root():
+    rng = np.random.default_rng(28)
+    for _ in range(6):
+        cost, C, d, bounds, ref, rounding = closing_case(rng)
+        root = lp_solve(cost, C, d, bounds)
+        assert root.objective == ref
+        assert np.any(np.abs(root.x[:6] - np.round(root.x[:6])) > 0.1)
+        res = milp_solve(cost, C, d, bounds, integer=range(6),
+                         rounding=rounding)
+        assert res.is_optimal and res.nodes == 2
+        assert res.objective == pytest.approx(ref, abs=1e-9)
+        assert np.array_equal(res.x[:6], rounding(None))
+        assert np.all(C @ res.x <= d + 1e-9)
+        assert milp_solve(cost, C, d, bounds, integer=range(6)).nodes > 2
+
+
+def test_dual_cap_zero_solves_the_rounded_leaf_cold(monkeypatch):
+    calls = []
+    cold = milp.lp_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "lp_solve", counting)
+    rng = np.random.default_rng(28)
+    cases = [closing_case(rng) for _ in range(4)]
+    for cap, cold_solves in ((milp._DUAL_CAP, 1), (0, 2)):
+        monkeypatch.setattr(milp, "_DUAL_CAP", cap)
+        for cost, C, d, bounds, ref, rounding in cases:
+            calls.clear()
+            res = milp_solve(cost, C, d, bounds, integer=range(6),
+                             rounding=rounding)
+            assert res.nodes == 2 and len(calls) == cold_solves
+            assert res.objective == pytest.approx(ref, abs=1e-9)
+
+
+def test_rounding_outside_the_bounds_rejected():
+    with pytest.raises(ValueError, match="rounding gave"):
+        milp_solve([-1.0, -1.0], [[1.0, 1.0]], [1.5], [(0.0, 1.0)] * 2,
+                   integer=[0, 1], rounding=lambda x: [2.0, 0.0])

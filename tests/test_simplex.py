@@ -218,7 +218,7 @@ def test_rebound_matches_cold_solve_after_one_bound_change():
                 (lo[j], low + 0.02),                  # past the rows
             ]
             for a, b in intervals:
-                warm = parent.state.rebound(j, a, b, 500)
+                warm = parent.state.rebound([(j, a, b)], 500)
                 assert warm is not None
                 lo_c, hi_c = lo.copy(), hi.copy()
                 lo_c[j], hi_c[j] = a, b
@@ -246,7 +246,7 @@ def test_rebound_chains_through_grandchildren():
             if a > b:
                 break
             lo[j], hi[j] = a, b
-            res = res.state.rebound(j, a, b, 500)
+            res = res.state.rebound([(j, a, b)], 500)
             cold = lp_solve(cost, C, d, list(zip(lo, hi)))
             _assert_warm_matches_cold(res, cold, C, d, lo, hi)
             if res.status != OPTIMAL:
@@ -260,7 +260,7 @@ def test_rebound_without_rows():
                               ((-1.0, 2.5), (-1.0, -0.5), -0.5)):
         res = lp_solve([-1.0], bounds=[bounds])
         assert res.status == OPTIMAL and res.state is not None
-        child = res.state.rebound(0, *cut, 500)
+        child = res.state.rebound([(0, *cut)], 500)
         assert child.status == OPTIMAL and child.x.tolist() == [want]
         assert child.iterations == 0
 
@@ -269,5 +269,42 @@ def test_rebound_declines_free_column():
     C, d = random_bounded_polytope(np.random.default_rng(53), 2, 2)
     res = lp_solve([1.0, -1.0], C, d, [(None, None), (-4.0, 4.0)])
     assert res.status == OPTIMAL
-    assert res.state.rebound(0, 0.0, 1.0, 500) is None
-    assert res.state.rebound(1, 0.0, 1.0, 500) is not None
+    assert res.state.rebound([(0, 0.0, 1.0)], 500) is None
+    assert res.state.rebound([(1, 0.0, 1.0)], 500) is not None
+
+
+def test_redundant_rows_leave_no_artificial_column():
+    # x + y >= 1 three times over (rows with d < 0 get artificials): every
+    # artificial leaves the basis onto a real column, so the tableau keeps
+    # only structural and slack columns, and children still re-optimise
+    C = [[-1.0, -1.0], [-2.0, -2.0], [-1.0, -1.0], [1.0, 0.0]]
+    d = [-1.0, -2.0, -1.0, 1.5]
+    bounds = [(0.0, 2.0), (0.0, 2.0)]
+    res = lp_solve([1.0, 2.0], C, d, bounds)
+    assert res.status == OPTIMAL and res.x.tolist() == [1.0, 0.0]
+    tab = res.state.tab
+    assert tab.n == res.state.ny + 4 == tab.T.shape[1]
+    assert np.array_equal(tab.T[np.arange(tab.m), tab.basis], np.ones(tab.m))
+    child = res.state.rebound([(0, 0.0, 0.25)], 500)
+    cold = lp_solve([1.0, 2.0], C, d, [(0.0, 0.25), (0.0, 2.0)])
+    assert child.status == OPTIMAL
+    assert child.x.tolist() == pytest.approx(cold.x.tolist(), abs=1e-12)
+
+
+def test_keep_columns_keeps_a_basic_column_past_dropped_ones():
+    # the path an artificial takes when it stays basic on a redundant row:
+    # its column sits past dropped ones, and the basis follows it
+    from qptrim.simplex import _Tableau
+
+    tab = _Tableau(np.array([[1.0, 2.0, 1.0, 0.0, 3.0],
+                             [0.0, 1.0, 0.0, 1.0, 0.0]]), np.full(5, np.inf))
+    tab.basis[:] = [4, 3]
+    tab.pivot(0, 4)
+    tab.in_basis[[3, 4]] = True
+    tab.val[[3, 4]] = [2.0, 0.5]
+    tab.keep_columns(np.array([True, True, False, True, True]))
+    assert tab.n == 4 and tab.basis.tolist() == [3, 2]
+    np.testing.assert_array_equal(tab.T, [[1 / 3, 2 / 3, 0.0, 1.0],
+                                          [0.0, 1.0, 1.0, 0.0]])
+    assert tab.val.tolist() == [0.0, 0.0, 2.0, 0.5]
+    assert tab.in_basis.tolist() == [False, False, True, True]
