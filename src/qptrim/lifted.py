@@ -20,7 +20,7 @@ import numpy as np
 
 from .milp import milp_solve
 from .mpqp import MpQp, SolvedSample
-from .simplex import INFEASIBLE, OPTIMAL, lp_solve
+from .simplex import INFEASIBLE, OPTIMAL, Relaxation, lp_solve
 from .tolerances import feas_tol
 from .trim import check_kappa
 
@@ -52,9 +52,15 @@ def _as_box(box, n_v):
     return arr
 
 
-@dataclass
+@dataclass(eq=False)
 class LiftedPolyhedron:
-    """Rows H_lift v <= w with per-row norms and an optional search box."""
+    """Rows H_lift v <= w with per-row norms and an optional search box.
+
+    `==` is identity, since the fields are arrays; `content_hash` is the
+    value identity. Two searches are cached on the polyhedron, each run
+    once: `big_m`, and the encoding of `sigma_milp` with its root
+    relaxation solved cold.
+    """
 
     H_lift: np.ndarray
     w: np.ndarray
@@ -99,6 +105,38 @@ class LiftedPolyhedron:
                 raise ArithmeticError(f"big-M probe LP returned {res.status}")
             worst = max(worst, self.w[j] / self.row_norms[j] - res.objective)
         return worst + 1.0
+
+    @functools.cached_property
+    def _sigma_encoding(self):
+        """(cost, rows, rhs, lo, hi, root) of `sigma_milp` over
+        [v, r, delta, t], with the exemption budget t in [0, n_c-2] (its
+        widest, at i = 1), and that relaxation solved cold as the root."""
+        m = self.big_m
+        n_c, n_v = self.n_c, self.n_v
+        unit = self.H_lift / self.row_norms[:, None]
+        wn = self.w / self.row_norms
+        budget = np.zeros((1, n_v + 2 + n_c))
+        budget[0, n_v + 1:] = 1.0
+        budget[0, -1] = -1.0
+        rows = np.vstack([
+            # v stays in the polyhedron
+            np.hstack([self.H_lift, np.zeros((n_c, 2 + n_c))]),
+            # d_j(v) - m*delta_j <= r
+            np.hstack([-unit, -np.ones((n_c, 1)), -m * np.eye(n_c),
+                       np.zeros((n_c, 1))]),
+            # r <= d_j(v) + m*(1 - delta_j)
+            np.hstack([unit, np.ones((n_c, 1)), m * np.eye(n_c),
+                       np.zeros((n_c, 1))]),
+            # sum(delta) <= t
+            budget,
+        ])
+        rhs = np.concatenate([self.w, -wn, wn + m, [0.0]])
+        cost = np.zeros(n_v + 2 + n_c)
+        cost[n_v] = 1.0
+        lo = np.concatenate([self.box[:, 0], np.zeros(2 + n_c)])
+        hi = np.concatenate([self.box[:, 1], [m], np.ones(n_c), [n_c - 2.0]])
+        root = Relaxation(cost, rows, rhs, lo, hi).solve()
+        return cost, rows, rhs, lo, hi, root
 
     def slacks(self, v) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -196,13 +234,17 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
     """Exact sigma_i over the boxed polyhedron.
 
     Encodes "at least i+1 distances do not exceed r" with one binary per
-    row exempting it from the bound, a budget of n_c-i-1 exemptions, and a
-    big-M wide enough to deactivate any row (`LiftedPolyhedron.big_m`).
-    Strict inequalities in the encoding are relaxed to non-strict, which
-    leaves the infimum unchanged. For i >= n_c the box diagonal is
-    returned, as by sigma_sample.
+    row exempting it from the bound, a budget column t >= sum of the
+    binaries held to at most n_c-i-1 exemptions, and a big-M wide enough
+    to deactivate any row (`LiftedPolyhedron.big_m`). Strict inequalities
+    in the encoding are relaxed to non-strict, which leaves the infimum
+    unchanged. For i >= n_c the box diagonal is returned, as by
+    sigma_sample.
 
-    The search first tries one rounding of the root relaxation: count the
+    The root relaxation is solved cold once per polyhedron, with t's
+    widest bound (i = 1); each i re-optimises that root after tightening
+    t to n_c-i-1, so a value depends on L and i alone, not on which i ran
+    before. The search then tries one rounding of its root: count the
     i+1 rows nearest to its v and exempt the rest. Where i+1 facets meet
     inside the box (sigma_i = 0) that leaf meets the root bound and ends
     the search at the root; otherwise the search runs as without it.
@@ -212,32 +254,11 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
         raise ValueError(f"i must be >= 1, got {i}")
     if i >= L.n_c:
         return _box_diagonal(L)
-    m = L.big_m
+    cost, rows, rhs, lo, hi, root = L._sigma_encoding
     n_c, n_v = L.n_c, L.n_v
-    n = n_v + 1 + n_c  # v, r, delta
-    unit = L.H_lift / L.row_norms[:, None]
-    wn = L.w / L.row_norms
-
-    rows = []
-    rhs = []
-    # v stays in the polyhedron
-    rows.append(np.hstack([L.H_lift, np.zeros((n_c, 1 + n_c))]))
-    rhs.append(L.w)
-    # d_j(v) - m*delta_j <= r
-    rows.append(np.hstack([-unit, -np.ones((n_c, 1)), -m * np.eye(n_c)]))
-    rhs.append(-wn)
-    # r <= d_j(v) + m*(1 - delta_j)
-    rows.append(np.hstack([unit, np.ones((n_c, 1)), m * np.eye(n_c)]))
-    rhs.append(wn + m)
-    # exemption budget
-    card = np.zeros((1, n))
-    card[0, n_v + 1:] = 1.0
-    rows.append(card)
-    rhs.append(np.array([float(n_c - i - 1)]))
-
-    cost = np.zeros(n)
-    cost[n_v] = 1.0
-    bounds = [tuple(row) for row in L.box] + [(0.0, m)] + [(0.0, 1.0)] * n_c
+    t = cost.size - 1
+    hi = hi.copy()
+    hi[t] = float(n_c - i - 1)
 
     def rounding(x):
         """Count the i+1 rows nearest to the relaxation's v, exempt the
@@ -248,11 +269,12 @@ def sigma_milp(L: LiftedPolyhedron, i: int) -> float:
 
     res = milp_solve(
         cost,
-        np.vstack(rows),
-        np.concatenate(rhs),
-        bounds,
-        integer=range(n_v + 1, n),
+        rows,
+        rhs,
+        list(zip(lo, hi)),
+        integer=range(n_v + 1, t),
         rounding=rounding,
+        root_from=(root, [(t, 0.0, hi[t])]),
     )
     if not res.is_optimal:
         raise UnboundedLift(f"threshold search returned {res.status}")

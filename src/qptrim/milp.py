@@ -16,14 +16,17 @@ root. A leaf that misses the bound is dropped, not kept as an incumbent
 its value): the search then runs as without it, from no incumbent, where
 the bound alone decides which nodes pop.
 
-Only the root relaxation is a cold two-phase `lp_solve`. A child differs
-from its parent by one bound, and the rounded leaf from the root by the
-bounds of its integer variables, so the parent's optimal basis stays dual
-feasible: each re-optimises a copy of its parent's simplex state with the
-dual simplex (`Relaxation.rebound`). It is solved cold instead when a
-changed variable sits on two tableau columns (a free integer variable),
-when its dual loop reaches _DUAL_CAP pivots, or when its point misses the
-original rows or bounds by more than FEAS.
+At most the root relaxation is a cold two-phase `lp_solve`. A child
+differs from its parent by one bound, and the rounded leaf from the root by
+the bounds of its integer variables, so the parent's optimal basis stays
+dual feasible: each re-optimises a copy of its parent's simplex state with
+the dual simplex (`Relaxation.rebound`). A caller that holds a solved
+relaxation of the same rows under looser bounds may hand it over, and the
+root is re-optimised from it the same way (`sigma_milp` solves one root per
+polyhedron and tightens its budget bound for each i). Any of these is
+solved cold instead when a changed variable sits on two tableau columns (a
+free integer variable), when its dual loop reaches _DUAL_CAP pivots, or
+when its point misses the original rows or bounds by more than FEAS.
 """
 
 import itertools
@@ -64,6 +67,7 @@ def milp_solve(
     bounds=None,
     integer=(),
     rounding=None,
+    root_from=None,
 ) -> MilpResult:
     """Minimize cost@x subject to C@x <= d and bounds, with x[j] integral
     for every j in `integer`. `bounds` takes the form `lp_solve` takes:
@@ -81,6 +85,12 @@ def milp_solve(
     there is solved first (one more node); if its objective meets the
     root bound within 1e-9 it is optimal and returned, else it is dropped
     and the search runs as without it.
+
+    `root_from`, when given, is a pair (relaxation, changes): an LpResult of
+    the same cost and rows under bounds that contain `bounds`, and the
+    (j, lo, hi) changes that turn its bounds into `bounds`. The root is
+    then re-optimised from that relaxation as a child from its parent, and
+    solved cold only where a child would be.
     """
     cost = np.atleast_1d(np.asarray(cost, dtype=float))
     n = cost.size
@@ -119,7 +129,7 @@ def milp_solve(
         return rel
 
     nodes = 1
-    root = cold(lo, hi)
+    root = cold(lo, hi) if root_from is None else child(*root_from, lo, hi)
     if root.status == UNBOUNDED:
         return MilpResult(UNBOUNDED, None, None, nodes)
     if root.status != OPTIMAL:

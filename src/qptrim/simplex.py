@@ -13,8 +13,9 @@ the bounds of any variables leaves that basis dual feasible, so
 `Relaxation.rebound` re-optimises a copy with the dual simplex (Lemke 1954):
 the most violated basic row leaves, and the entering column minimises
 |r_q / T[i, q]| over the columns that can move that row back to its bound.
-Branch and bound (milp.py) re-optimises every child node this way, and the
-root's rounded leaf, which fixes every integer variable at once.
+Branch and bound (milp.py) re-optimises every child node this way, the
+root's rounded leaf, which fixes every integer variable at once, and a root
+handed a solved relaxation under looser bounds.
 """
 
 import copy
@@ -176,13 +177,12 @@ class _Tableau:
         self.in_basis[enter] = True
         self.pivot(leave_row, enter)
 
-    def keep_columns(self, keep):
-        """Delete the columns where keep is False; basic ones must stay."""
-        self.basis = (np.cumsum(keep) - 1)[self.basis]
-        for name in ("T", "lower", "upper", "val", "at_upper", "in_basis"):
-            arr = getattr(self, name)
-            setattr(self, name, arr[:, keep] if arr.ndim == 2 else arr[keep])
-        self.n = self.T.shape[1]
+    def truncate(self, n):
+        """Delete every column from n on; none of them may be basic."""
+        self.T = self.T[:, :n].copy()
+        for name in ("lower", "upper", "val", "at_upper", "in_basis"):
+            setattr(self, name, getattr(self, name)[:n])
+        self.n = n
 
     def pivot(self, row, col):
         prow = self.T[row] / self.T[row, col]
@@ -334,14 +334,10 @@ class Relaxation:
             if tab.value(phase1) > 1e-9 * (1.0 + self.d_max):
                 return LpResult(INFEASIBLE, iterations=tab.iterations)
             _evict_artificials(tab, ny + m)
-            # drop the artificials that left the basis, so no later pivot
-            # updates them; one still basic on a redundant row stays,
-            # locked at zero so phase 2 never moves it
-            keep = np.ones(n_tot, dtype=bool)
-            keep[ny + m:] = tab.in_basis[ny + m:]
-            tab.keep_columns(keep)
-            self.ycost = self.ycost[keep]
-            tab.upper[ny + m:] = 0.0
+            # every artificial has left the basis: drop their columns, so
+            # no later pivot updates them
+            tab.truncate(ny + m)
+            self.ycost = self.ycost[:ny + m]
         if not tab.run(self.ycost, max_iter, bland_after):
             return LpResult(UNBOUNDED, iterations=tab.iterations)
         return self._result()
@@ -382,20 +378,17 @@ class Relaxation:
 
 
 def _evict_artificials(tab, first_art):
-    """Pivot zero-valued basic artificials onto real columns where possible."""
+    """Pivot each zero-valued basic artificial onto a real column. There is
+    always one to pivot on: an artificial's own slack column stays the exact
+    negative of its column through every pivot, so it is nonbasic with
+    entry -1 in the artificial's row."""
     for row in range(tab.m):
         var = tab.basis[row]
         if var < first_art:
             continue
-        candidates = np.flatnonzero(
+        enter = int(np.flatnonzero(
             (np.abs(tab.T[row, :first_art]) > 1e-9) & ~tab.in_basis[:first_art]
-        )
-        if candidates.size == 0:
-            # redundant row; artificial stays basic at zero. lp_solve never
-            # gets here: an artificial's own slack column is the exact
-            # negative of its column, so that slack is always a candidate
-            continue
-        enter = int(candidates[0])
+        )[0])
         tab.in_basis[var] = False
         tab.at_upper[var] = False
         tab.val[var] = 0.0

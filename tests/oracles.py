@@ -3,7 +3,8 @@
 These deliberately share no code with the package solvers: the QP oracle
 enumerates candidate active subsets and solves bordered KKT systems directly.
 The reference dual loop shares only the solver's status names and FEAS.
-The reference piece search shares only the realizability LP. The trim
+The reference piece search shares only the realizability LP. The reference
+sigma search shares the branch and bound and the polyhedron's big-M. The trim
 certificate and the Riccati residual recompute from the problem data alone.
 """
 
@@ -12,6 +13,7 @@ import itertools
 import numpy as np
 
 from qptrim.lipschitz import _realizable
+from qptrim.milp import milp_solve
 from qptrim.mpqp import finite_parameter
 from qptrim.qpsolver import INFEASIBLE, OPTIMAL
 from qptrim.tolerances import FEAS, rank_tol
@@ -172,6 +174,44 @@ def reference_steepest_piece(p, floor, chunk=20_000):
         if _realizable(p, p_rows, rows):
             return float(slope), [int(r) + 1 for r in rows]
     return None
+
+
+# The sigma search that qptrim.lifted.sigma_milp ran before it cached its
+# root: the exemption budget is the right-hand side n_c-i-1 of the last row,
+# so every i solves its own root LP cold. The same branch and bound and the
+# same rounding follow. Values must agree exactly where this one is 0.0
+# (horizon_bounds reads a zero as "never") and to 1e-12 (1 + |sigma|)
+# elsewhere: the cached root is re-optimised, so it may stop at another
+# optimal vertex of the same degenerate LP.
+
+def reference_sigma_milp(L, i):
+    """sigma_i of a boxed polyhedron with i < n_c, from a cold root."""
+    m = L.big_m
+    n_c, n_v = L.n_c, L.n_v
+    unit = L.H_lift / L.row_norms[:, None]
+    wn = L.w / L.row_norms
+    budget = np.zeros((1, n_v + 1 + n_c))
+    budget[0, n_v + 1:] = 1.0
+    rows = np.vstack([
+        np.hstack([L.H_lift, np.zeros((n_c, 1 + n_c))]),
+        np.hstack([-unit, -np.ones((n_c, 1)), -m * np.eye(n_c)]),
+        np.hstack([unit, np.ones((n_c, 1)), m * np.eye(n_c)]),
+        budget,
+    ])
+    rhs = np.concatenate([L.w, -wn, wn + m, [float(n_c - i - 1)]])
+    cost = np.zeros(n_v + 1 + n_c)
+    cost[n_v] = 1.0
+    bounds = [tuple(row) for row in L.box] + [(0.0, m)] + [(0.0, 1.0)] * n_c
+
+    def rounding(x):
+        delta = np.ones(n_c)
+        delta[np.argsort(L.distances(x[:n_v]), kind="stable")[:i + 1]] = 0.0
+        return delta
+
+    res = milp_solve(cost, rows, rhs, bounds,
+                     integer=range(n_v + 1, n_v + 1 + n_c), rounding=rounding)
+    assert res.is_optimal, res.status
+    return float(max(res.objective, 0.0))
 
 
 def reference_certify(p, kappa, sample, x, outcome):

@@ -29,6 +29,7 @@ from qptrim.trim import trim_single
 from qptrim.verify import _grid_sigma, _random_origin_polytope
 
 from helpers import random_mpqp
+from oracles import reference_sigma_milp
 
 
 def unit_square(box=(-2.0, 2.0)):
@@ -37,6 +38,22 @@ def unit_square(box=(-2.0, 2.0)):
         w=[0.0, 0.0, 1.0, 1.0],
         box=box,
     )
+
+
+def check4_polytopes():
+    """Check 4's family of polytopes, n_v 2-3 with up to 10 rows."""
+    rng = np.random.default_rng(38)
+    return [_random_origin_polytope(rng, n_v, int(rng.integers(n_v + 2, 11)),
+                                    half)
+            for n_v, half in ((2, 1.5), (3, 1.2)) for _ in range(5)]
+
+
+def double_integrator_lifted():
+    """The lifted double integrator at N=4 in its certificate box."""
+    sc = scenario_from_dict(gen_double_integrator(h=0.5, N=4))
+    box = np.vstack([sc.XN.bounding_box(),
+                     np.tile(sc.U.bounding_box(), (sc.N, 1))])
+    return lift(sc.condensed, box=box)
 
 
 def subset_lp_sigma(L, i):
@@ -86,6 +103,13 @@ class TestLift:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="zero norm"):
             LiftedPolyhedron([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+
+    def test_equality_is_identity(self):
+        # the fields are arrays: == compares objects, content_hash values
+        a, b = unit_square(), unit_square()
+        assert not a == b and a != b
+        assert a == a
+        assert a.content_hash() == b.content_hash()
 
     def test_box_validation(self):
         with pytest.raises(ValueError):
@@ -230,24 +254,59 @@ class TestSigmaMilp:
 
     def test_double_integrator_thresholds_close_at_the_root(self, monkeypatch):
         # sigma_i = 0 for i = 1..4 on the double integrator at N=4: the
-        # rounded leaf meets the root bound, so each search takes 2 nodes
+        # rounded leaf meets the root bound, so each search takes 2 nodes,
+        # and the one cold LP is the polyhedron's cached root
         import qptrim.lifted as lifted_mod
+        from qptrim.simplex import Relaxation
 
-        sc = scenario_from_dict(gen_double_integrator(h=0.5, N=4))
-        box = np.vstack([sc.XN.bounding_box(),
-                         np.tile(sc.U.bounding_box(), (sc.N, 1))])
-        L = lift(sc.condensed, box=box)
-        real = lifted_mod.milp_solve
-        nodes = []
+        L = double_integrator_lifted()
+        L.big_m         # its probes are LPs of their own
+        real, real_solve = lifted_mod.milp_solve, Relaxation.solve
+        nodes, cold = [], []
 
         def counting(*args, **kwargs):
             res = real(*args, **kwargs)
             nodes.append(res.nodes)
             return res
 
+        def solving(self):
+            cold.append(1)
+            return real_solve(self)
+
         monkeypatch.setattr(lifted_mod, "milp_solve", counting)
-        assert [sigma_milp(L, i) for i in range(1, 5)] == [0.0] * 4
+        monkeypatch.setattr(Relaxation, "solve", solving)
+        assert sigma_table(L, i_max=4).sigma == dict.fromkeys(range(1, 5), 0.0)
         assert nodes == [2] * 4
+        assert len(cold) == 1
+
+    def test_values_do_not_depend_on_the_order_of_calls(self):
+        def fresh(L):
+            return LiftedPolyhedron(L.H_lift, L.w, box=L.box)
+
+        for L in check4_polytopes():
+            orders = range(1, L.n_c)
+            up, down = fresh(L), fresh(L)
+            ascending = [sigma_milp(up, i).hex() for i in orders]
+            descending = [sigma_milp(down, i).hex() for i in reversed(orders)]
+            alone = [sigma_milp(fresh(L), i).hex() for i in orders]
+            assert ascending == descending[::-1] == alone
+
+    def test_cached_root_matches_a_cold_root_per_i(self):
+        # zeros stay exact (horizon_bounds reads sigma == 0 as "never");
+        # the rest may end on another vertex of the same degenerate root
+        cases = [(L, range(1, L.n_c)) for L in check4_polytopes()]
+        cases.append((double_integrator_lifted(), range(1, 5)))
+        zeros = others = 0
+        for L, orders in cases:
+            for i in orders:
+                ref, val = reference_sigma_milp(L, i), sigma_milp(L, i)
+                if ref == 0.0:
+                    assert val == 0.0
+                    zeros += 1
+                else:
+                    assert abs(val - ref) <= 1e-12 * (1.0 + abs(ref))
+                    others += 1
+        assert zeros > 4 and others > 0
 
     def test_big_m_probed_once_per_polyhedron(self, monkeypatch):
         import qptrim.lifted as lifted_mod

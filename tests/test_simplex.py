@@ -290,21 +290,3 @@ def test_redundant_rows_leave_no_artificial_column():
     assert child.status == OPTIMAL
     assert child.x.tolist() == pytest.approx(cold.x.tolist(), abs=1e-12)
 
-
-def test_keep_columns_keeps_a_basic_column_past_dropped_ones():
-    # the path an artificial takes when it stays basic on a redundant row:
-    # its column sits past dropped ones, and the basis follows it
-    from qptrim.simplex import _Tableau
-
-    tab = _Tableau(np.array([[1.0, 2.0, 1.0, 0.0, 3.0],
-                             [0.0, 1.0, 0.0, 1.0, 0.0]]), np.full(5, np.inf))
-    tab.basis[:] = [4, 3]
-    tab.pivot(0, 4)
-    tab.in_basis[[3, 4]] = True
-    tab.val[[3, 4]] = [2.0, 0.5]
-    tab.keep_columns(np.array([True, True, False, True, True]))
-    assert tab.n == 4 and tab.basis.tolist() == [3, 2]
-    np.testing.assert_array_equal(tab.T, [[1 / 3, 2 / 3, 0.0, 1.0],
-                                          [0.0, 1.0, 1.0, 0.0]])
-    assert tab.val.tolist() == [0.0, 0.0, 2.0, 0.5]
-    assert tab.in_basis.tolist() == [False, False, True, True]
