@@ -8,7 +8,7 @@ import numpy as np
 
 from .linalg import NotPositiveDefinite, cholesky, zoh_discretize
 from .mpqp import MpQp
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, rays_pass
 from .simplex import OPTIMAL, UNBOUNDED, lp_solve
 from .tolerances import IMPLIED
 
@@ -123,29 +123,55 @@ def max_invariant_set(Acl, constraints: Polyhedron) -> Polyhedron:
     """Largest set of states whose closed-loop trajectory never leaves the
     constraints: accumulate rows C Acl^s x <= d until every next-power row
     is already implied, then prune redundant rows. Raises NoTermination,
-    carrying the rows so far, when _MAX_POWERS powers leave it open."""
+    carrying the rows so far, when _MAX_POWERS powers leave it open.
+
+    This is the maximal admissible set recursion O_s = O_0 n Acl^-1 O_{s-1}
+    (Gilbert & Tan 1991, IEEE TAC 36(9)). A row is implied when the LP's
+    maximum of it over the iterate is at most d_j + IMPLIED (1 + |d_j|),
+    and two rules settle most rows without their LP:
+    - redundancy carries across powers: x in O_s puts Acl x in O_{s-1},
+      so a row implied by O_{s-1} at power s is implied by O_s at power
+      s+1. Only the rows fresh at the last power are tested again, and
+      those implied only within the IMPLIED band of d_j, whose dropped
+      rows leave the iterate that much larger than O_s;
+    - where every d >= 0 the origin lies in the iterate, and a ray from
+      it along a candidate row that runs past the row's bound inside the
+      iterate proves the row fresh (polyhedra.rays_pass).
+    Candidate rows are read from the full product C Acl^s, so every row
+    kept has the bits it would have had with an LP for each."""
     Acl = np.atleast_2d(np.asarray(Acl, dtype=float))
     if constraints.is_empty():
         raise EmptyConstraintSet("constraint polyhedron is empty")
     C_cur = constraints.C.copy()
     d_cur = constraints.d.copy()
+    band = IMPLIED * (1.0 + np.abs(constraints.d))
+    bound = constraints.d + band
+    # the iterate only gains rows of the constraints, so it holds the
+    # origin at every power when they do
+    origin_in = (constraints.d >= 0.0).all()
+    open_rows = np.arange(constraints.n_rows)
     power = Acl.copy()
     for _ in range(_MAX_POWERS):
-        cand_C = constraints.C @ power
-        fresh_C, fresh_d = [], []
-        for row, rhs in zip(cand_C, constraints.d):
-            res = lp_solve(-row, C_cur, d_cur)
-            if res.status == OPTIMAL and (
-                    -res.objective <= rhs + IMPLIED * (1.0 + abs(rhs))):
-                continue
-            if res.status not in (OPTIMAL, UNBOUNDED):
+        cand_C = (constraints.C @ power)[open_rows]
+        fresh = np.zeros(len(open_rows), dtype=bool)
+        if origin_in:
+            fresh = rays_pass(C_cur @ cand_C.T, d_cur,
+                              (cand_C * cand_C).sum(axis=1), bound[open_rows])
+        near = np.zeros(len(open_rows), dtype=bool)
+        for k in (~fresh).nonzero()[0]:
+            i = open_rows[k]
+            res = lp_solve(-cand_C[k], C_cur, d_cur)
+            if res.status == OPTIMAL and -res.objective <= bound[i]:
+                near[k] = -res.objective > constraints.d[i] - band[i]
+            elif res.status in (OPTIMAL, UNBOUNDED):
+                fresh[k] = True
+            else:
                 raise EmptyConstraintSet("iterate became empty")
-            fresh_C.append(row)
-            fresh_d.append(rhs)
-        if not fresh_C:
+        if not fresh.any():
             return Polyhedron(C_cur, d_cur).remove_redundant()
-        C_cur = np.vstack([C_cur, fresh_C])
-        d_cur = np.concatenate([d_cur, fresh_d])
+        C_cur = np.vstack([C_cur, cand_C[fresh]])
+        d_cur = np.concatenate([d_cur, constraints.d[open_rows[fresh]]])
+        open_rows = open_rows[fresh | near]
         power = power @ Acl
     raise NoTermination(
         f"not closed after {_MAX_POWERS} powers", partial=Polyhedron(C_cur, d_cur)

@@ -141,16 +141,19 @@ def _solve(p: MpQp, x, rows, guess=None, formed=None):
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
     if rows is None:
         rows = np.arange(p.n_c)
-    b = (p.rhs(x) if b is None else b)[rows]
+    # rows maps solved positions to rows; a solve over every row reads the
+    # all-rows arrays in place instead of copying them through it
+    pick = rows if n < p.n_c else slice(None)
+    b = (p.rhs(x) if b is None else b)[pick]
     feas_slack = feas_tol(b)
     # the band is a rule on b - G z0, which h matches far inside one band
     if h.min() >= -2.0 * feas_slack and (
-            b - p.G[rows] @ z0).min() >= -feas_slack:
+            b - p.G[pick] @ z0).min() >= -feas_slack:
         return QpSolution(z0, np.zeros(n), OPTIMAL, 1), _NO_ROWS, "z0"
     if guess is not None and len(guess):
-        work = np.searchsorted(rows, guess)
+        work = guess if n == p.n_c else np.searchsorted(rows, guess)
         try:
-            lam_w, z, slack = _held(p, z0, h, rows, work)
+            lam_w, z, slack = _held(p, z0, h, rows, work, pick)
         except np.linalg.LinAlgError:
             pass
         else:
@@ -163,7 +166,7 @@ def _solve(p: MpQp, x, rows, guess=None, formed=None):
     # h over the largest violation distance max_i -h_i / ||E_i|| makes
     # ||y|| >= 1, whatever the scale of x, H, F or the rows; a violated
     # row with E_i = 0 leaves nothing to scale by and no point meets it
-    norms = np.sqrt(p.g_quads[rows])
+    norms = np.sqrt(p.g_quads[pick])
     live = norms > 0.0
     scale = (-h[live] / norms[live]).max(initial=0.0)
     if scale <= 0.0:
@@ -186,7 +189,7 @@ def _solve(p: MpQp, x, rows, guess=None, formed=None):
         if resid <= VANISHED:
             return (QpSolution(None, None, INFEASIBLE, 1 + len(work)), None,
                     "nnls")
-        lam_w, z, slack = _held(p, z0, h, rows, work)
+        lam_w, z, slack = _held(p, z0, h, rows, work, pick)
         # W holds only to the rounding of the Gram solve
         slack[work] = 0.0
         violated = slack < -feas_slack
@@ -199,17 +202,18 @@ def _solve(p: MpQp, x, rows, guess=None, formed=None):
     return _optimal(z, lam_w, n, work), rows[work], "nnls"
 
 
-def _held(p: MpQp, z0, h, rows, work):
+def _held(p: MpQp, z0, h, rows, work, pick):
     """The minimizer with the solved rows at positions `work` of the
     0-based rows `rows` held as equalities, h = b - G z0 over those rows:
     (G_W H^-1 G_W') lam_W = -h_W, dz = H^-1 G_W' lam_W and z = z0 - dz.
-    Returns lam_W, z and the solved rows' slacks b - G z = h + (G dz)_rows.
+    Returns lam_W, z and the solved rows' slacks b - G z = h + (G dz)_rows,
+    read through `pick`: `rows`, or every row in place.
     A singular Gram matrix raises numpy.linalg.LinAlgError."""
     held = rows[work]
     Yw = p.hi_gt[:, held]
     lam_w = np.linalg.solve(p.G[held] @ Yw, -h[work])
     dz = Yw @ lam_w
-    return lam_w, z0 - dz, h + (p.G @ dz)[rows]
+    return lam_w, z0 - dz, h + (p.G @ dz)[pick]
 
 
 def _optimal(z, lam_w, n, work) -> QpSolution:

@@ -6,17 +6,22 @@ The reference dual loop shares only the solver's status names and FEAS.
 The reference piece search shares only the realizability LP. The reference
 sigma search shares the branch and bound and the polyhedron's big-M. The trim
 certificate and the Riccati residual recompute from the problem data alone.
+The reference invariant set shares only the LP solver and the polyhedron
+type, and runs one LP per row and power.
 """
 
 import itertools
 
 import numpy as np
 
+from qptrim import simplex
 from qptrim.lipschitz import _realizable
 from qptrim.milp import milp_solve
+from qptrim.mpc import EmptyConstraintSet
 from qptrim.mpqp import finite_parameter
+from qptrim.polyhedra import Polyhedron
 from qptrim.qpsolver import INFEASIBLE, OPTIMAL
-from qptrim.tolerances import FEAS, rank_tol
+from qptrim.tolerances import FEAS, IMPLIED, rank_tol
 
 
 def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
@@ -228,6 +233,59 @@ def reference_certify(p, kappa, sample, x, outcome):
     at_sample = (p.rhs(x_hat) - p.G @ sample.z_star)[j]
     return bool(np.all(at_sample > p.act_band[j]) and np.all(here >= 0.0)
                 and np.all(here >= radius * p.g_row_norms[j]))
+
+
+# The invariant-set loop before its LPs were cut: every candidate row of
+# every power gets an LP against the iterate, and the closed set is pruned
+# with one LP per row. max_invariant_set must return its C and d bitwise,
+# row order included, on every bounded body.
+
+def reference_remove_redundant(C, d):
+    """C and d with every row the others imply dropped, one LP per row."""
+    keep = list(range(len(d)))
+    i = 0
+    while i < len(keep):
+        row = keep[i]
+        others = [r for r in keep if r != row]
+        if not others:
+            i += 1
+            continue
+        res = simplex.lp_solve(-C[row], C[others], d[others])
+        if res.status == simplex.OPTIMAL and (
+                -res.objective <= d[row] + IMPLIED * (1.0 + abs(d[row]))):
+            keep.pop(i)
+        else:
+            i += 1
+    return Polyhedron(C[keep], d[keep])
+
+
+def reference_max_invariant_set(Acl, constraints):
+    """C and d of the maximal admissible set, one LP per row and power."""
+    Acl = np.atleast_2d(np.asarray(Acl, dtype=float))
+    if simplex.lp_solve(np.zeros(constraints.dim), constraints.C,
+                        constraints.d).status == simplex.INFEASIBLE:
+        raise EmptyConstraintSet("constraint polyhedron is empty")
+    C_cur = constraints.C.copy()
+    d_cur = constraints.d.copy()
+    power = Acl.copy()
+    for _ in range(500):
+        cand_C = constraints.C @ power
+        fresh_C, fresh_d = [], []
+        for row, rhs in zip(cand_C, constraints.d):
+            res = simplex.lp_solve(-row, C_cur, d_cur)
+            if res.status == simplex.OPTIMAL and (
+                    -res.objective <= rhs + IMPLIED * (1.0 + abs(rhs))):
+                continue
+            if res.status not in (simplex.OPTIMAL, simplex.UNBOUNDED):
+                raise EmptyConstraintSet("iterate became empty")
+            fresh_C.append(row)
+            fresh_d.append(rhs)
+        if not fresh_C:
+            return reference_remove_redundant(C_cur, d_cur)
+        C_cur = np.vstack([C_cur, fresh_C])
+        d_cur = np.concatenate([d_cur, fresh_d])
+        power = power @ Acl
+    raise AssertionError("not closed after 500 powers")
 
 
 def dare_residual(A, B, Q, R, P):
