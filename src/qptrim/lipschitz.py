@@ -16,10 +16,26 @@ the steepest realizable piece. Its cost is exponential in min(n_z, n_c).
 The search grows the k-row sets from the independent (k-1)-row sets only,
 adding a row only where it is independent of each member as a pair: by
 interlacing, sigma_min([G_A; g_r]) <= sigma_min(G_A), so no skipped set is
-independent. It then bounds each set's slope from the singular values the
-independence test already has, and forms the exact slope, two more SVDs,
-only where the bound reaches the floor (see _piece_slopes). The candidates,
-their slopes and their order are those of plain enumeration, bitwise.
+independent. It works in the rows E = G L^-T (H = L L'), where
+E_A E_A' = G_A H^-1 G_A', and each set carries a factorization updated
+from its parent's by one classical Gram-Schmidt step with one
+reorthogonalisation (Giraud, Langou, Rozloznik & van den Eshof 2005),
+bordered as in Golub & Van Loan, Matrix Computations, 6.5: E_A = R_A' Q_A
+with R_A^-1, and D_A = L^-T Q_A' R_A^-T P_A - H^-1 F' with P = S + G H^-1 F'
+(see _piece_slopes). Three bounds follow with no per-set SVD:
+
+    sigma_min(G_A) >= sqrt(lambda_min(H)) / ||R_A^-1||_F,
+    sigma_min(G_A) <= sqrt(lambda_max(H)) rho, rho the new row's residual,
+    c_A = ||E_A||_F^2 ||R_A^-1||_F^2 >= cond(G_A H^-1 G_A').
+
+The first two decide independence wherever they clear the rank tolerance
+by a factor of two, and the singular values decide the rest, so every
+verdict is the SVD's. With c_A they bound each slope by
+||D_A||_F (1 + 2 k c_A eps) plus a term k c_A eps (||T_A||_F + ||H^-1 F'||_F)
+for the cancellation in D_A. Only a set with c_A > 1e8, or whose bound
+reaches the floor, gets its exact slope from a Gram solve, cond and a
+2-norm (_exact_slopes). The candidates, their slopes and their order are
+those of plain enumeration, bitwise.
 glc_estimate is the closed form alone. It is cheap but uncertified: it
 replaces lambda_min(G_A H^-1 G_A') with the smallest per-row curvature,
 which holds only for single rows or rows orthogonal in the H^-1 metric, so
@@ -29,6 +45,7 @@ closed form.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +97,21 @@ class GlcReport:
         return out
 
 
+def _curvatures(p: MpQp) -> np.ndarray:
+    """The row curvatures G_j H^-1 G_j'. Raises DegenerateRow, naming the
+    rows, where one is numerically zero: at most 1e-10 times
+    ||G_j||^2 / ||H||_F, below the least a row of that norm can have,
+    ||G_j||^2 / ||H||_2. Scaling a row, or H and F together, leaves the
+    verdict unchanged."""
+    quads = p.g_quads
+    flat = np.flatnonzero(quads <= 1e-10 * p.g_row_norms**2 / np.linalg.norm(p.H))
+    if flat.size:
+        raise DegenerateRow(
+            f"rows {[int(j) + 1 for j in flat]} have numerically zero "
+            f"curvature G_j H^-1 G_j' (least {quads[flat].min():.3e})")
+    return quads
+
+
 def glc_estimate(p: MpQp) -> GlcReport:
     """Closed-form estimate ||H^-1 F'|| + ||H^-1 G'|| ||S + G H^-1 F'|| / q_min.
 
@@ -87,12 +119,8 @@ def glc_estimate(p: MpQp) -> GlcReport:
     whose active rows are nearly parallel can be steeper. Meant for problems
     too large for glc's enumeration, with trimmed results checked end to end.
     """
-    quads = p.g_quads
+    quads = _curvatures(p)
     min_quad = float(quads.min()) if quads.size else np.inf
-    if quads.size and min_quad <= rank_tol(p.G):
-        raise DegenerateRow(
-            f"row curvature min G_j H^-1 G_j' = {min_quad:.3e} is numerically zero"
-        )
     term_u = spectral_norm(p.hi_ft)
     n_hg = spectral_norm(p.hi_gt)
     n_sp = spectral_norm(p.slack_map)
@@ -114,15 +142,23 @@ def glc(p: MpQp) -> GlcReport:
     The larger of glc_estimate and the steepest piece realizable for some
     parameter and subset. Visits every linearly independent row set of
     size up to min(n_z, n_c), grown from the independent sets one row
-    smaller, so the cost is exponential in that size; glc_estimate is the
-    by-name fallback where that is out of reach. Only the sets whose slope
-    bound ||D_A||_F (1 + 2 k c eps), c = cond(G_A)^2 cond(H), reaches the
-    estimate get their exact slope. Raises DegenerateRow, naming the rows,
+    smaller with rank-one updates of a factorization E_A = R_A' Q_A, so the
+    cost is exponential in that size; glc_estimate is the by-name fallback
+    where that is out of reach. sqrt(lambda_min(H)) / ||R_A^-1||_F and
+    sqrt(lambda_max(H)) rho bound sigma_min(G_A) from below and above, and
+    decide independence where they clear the rank tolerance by a factor of
+    two; c_A = ||E_A||_F^2 ||R_A^-1||_F^2 bounds cond(G_A H^-1 G_A'). Only
+    the sets with c_A > 1e8, or whose slope bound
+    ||D_A||_F (1 + 2 k c_A eps) + k c_A eps (||T_A||_F + ||H^-1 F'||_F),
+    the second term for the cancellation in D_A = T_A - H^-1 F', reaches
+    the estimate get their exact slope. Rows with ||G||_inf < 1 are
+    searched scaled by a power of two (_unit_rows), so that the rank
+    tolerance is relative to them. Raises DegenerateRow, naming the rows,
     when a row has zero curvature or an independent set's Gram matrix
     cannot be factored.
     """
     report = glc_estimate(p)
-    piece = _steepest_piece(p, report.kappa)
+    piece = _steepest_piece(_unit_rows(p), report.kappa)
     if piece is not None:
         slope, rows = piece
         terms = report.terms
@@ -135,25 +171,27 @@ def glc(p: MpQp) -> GlcReport:
     return report
 
 
-def _piece_slopes(p: MpQp, p_rows: np.ndarray, sets: np.ndarray,
-                  floor: float, cond_h: float):
-    """The independent sets of a stack of 0-based row sets (m x k), and
-    the slopes ||D_A|| above floor with their sets.
+def _unit_rows(p: MpQp) -> MpQp:
+    """p with G, S and w multiplied by the power of two that brings
+    ||G||_inf into [1, 2), when it is below 1. Scaling the rows leaves
+    every piece unchanged, and a power of two every rounding too, so the
+    search finds p's slopes bitwise; but rank_tol(G), 1e-10 (||G||_inf + 1),
+    is then relative to the rows, where on small rows it would call
+    independent sets dependent."""
+    norm = np.linalg.norm(p.G, np.inf)
+    if not 0.0 < norm < 1.0:
+        return p
+    return p.scaled(np.full(p.n_c, np.ldexp(1.0, 1 - np.frexp(norm)[1])))
 
-    Linearly dependent sets carry no piece and are dropped. Solving with
-    the Gram matrix loses up to about cond(G_A H^-1 G_A') * eps relative
-    accuracy, so each slope is raised by k times that much to stay an upper
-    bound. The exact slope costs two more SVDs per set, so it is formed
-    only where it can pass floor: cond(G_A H^-1 G_A') <= c with
-    c = cond(G_A)^2 cond(H), from the singular values the independence
-    test already has, and ||D_A||_2 <= ||D_A||_F. A set with c <= 1e8 and
-    ||D_A||_F (1 + 2 k c eps) (1 + 1e-12) <= floor would fall below floor
-    too, the two factors covering the rounding of c and of both norms.
-    """
+
+def _exact_slopes(p: MpQp, sets: np.ndarray) -> np.ndarray:
+    """||D_A||_2 (1 + k cond(G_A H^-1 G_A') eps) of a stack of independent
+    0-based row sets (m x k), from a Gram solve, cond and a 2-norm: the
+    exact path, each slope raised by the relative accuracy the Gram
+    solve can lose. Raises DegenerateRow, naming the rows, when a Gram
+    matrix cannot be factored."""
+    p_rows = p.slack_map
     g_a = p.G[sets]                                   # m x k x n_z
-    sv = np.linalg.svd(g_a, compute_uv=False)
-    indep = sv[:, -1] > rank_tol(p.G)
-    sets, g_a, sv = sets[indep], g_a[indep], sv[indep]
     y_a = p.hi_gt.T[sets]                             # rows of G_A H^-1
     gram = g_a @ y_a.transpose(0, 2, 1)
     try:
@@ -169,16 +207,8 @@ def _piece_slopes(p: MpQp, p_rows: np.ndarray, sets: np.ndarray,
                     "G_A H^-1 G_A' is singular") from None
         raise
     d_a = y_a.transpose(0, 2, 1) @ solved - p.hi_ft
-    k, eps = sets.shape[1], np.finfo(float).eps
-    c = (sv[:, 0] / sv[:, -1]) ** 2 * cond_h
-    bound = (np.linalg.norm(d_a, axis=(1, 2)) * (1.0 + 2 * k * c * eps)
-             * (1.0 + 1e-12))
-    exact = (c > 1e8) | (bound > floor)
-    gram, d_a, steep = gram[exact], d_a[exact], sets[exact]
-    rounding = k * np.linalg.cond(gram) * eps
-    slopes = np.linalg.norm(d_a, ord=2, axis=(1, 2)) * (1.0 + rounding)
-    above = slopes > floor
-    return sets, slopes[above], steep[above]
+    rounding = sets.shape[1] * np.linalg.cond(gram) * np.finfo(float).eps
+    return np.linalg.norm(d_a, ord=2, axis=(1, 2)) * (1.0 + rounding)
 
 
 def _realizable(p: MpQp, p_rows: np.ndarray, rows: np.ndarray) -> bool:
@@ -203,44 +233,154 @@ def _realizable(p: MpQp, p_rows: np.ndarray, rows: np.ndarray) -> bool:
     return res.status == LP_OPTIMAL and res.x[-1] > KKT
 
 
-def _steepest_piece(p: MpQp, floor: float):
-    """Steepest realizable piece steeper than floor, as (slope, 1-based rows).
+class _Grown(NamedTuple):
+    """Independent k-row sets A (0-based, m x k), each with the
+    factorization it was grown with: E_A = R_A' Q_A, Q_A with orthonormal
+    rows (m x k x n_z), R_A^-1 (m x k x k), W_A = R_A^-T P_A (m x k x n_x),
+    T_A = L^-T Q_A' W_A (m x n_z x n_x), ||E_A||_F^2 and ||R_A^-1||_F^2."""
+
+    sets: np.ndarray
+    q: np.ndarray
+    r_inv: np.ndarray
+    w: np.ndarray
+    t: np.ndarray
+    e2: np.ndarray
+    r2: np.ndarray
+
+
+def _piece_slopes(p: MpQp, parent: _Grown, at: np.ndarray, row: np.ndarray,
+                  lam: np.ndarray, keep: bool):
+    """Extend each set parent.sets[at] by the row beside it: (the
+    independent children as a _Grown, or None unless keep; their sets;
+    c_A; a bound on each slope ||D_A||_2).
+
+    Classical Gram-Schmidt with one reorthogonalisation gives c = Q_A e_r
+    and res = e_r - Q_A' c, rho = ||res||. R^-1 is bordered by
+    -R_A^-1 c / rho and 1 / rho, W gains the row w = (P_r - c' W_A) / rho
+    and T the rank-one term (L^-T res / rho) w'. With lam = (lam_min,
+    lam_max) of H, widened by their rounding, three bounds follow:
+
+        sigma_min(G_A) >= sqrt(lam_min) / ||R_A^-1||_F,
+        sigma_min(G_A) <= sqrt(lam_max) rho,
+        c_A = ||E_A||_F^2 ||R_A^-1||_F^2 >= cond(G_A H^-1 G_A').
+
+    A set is independent when the first exceeds 2 rank_tol(G) and
+    dependent when the second, rho raised by its rounding 4 k eps ||e_r||,
+    is below half of it; only the sets between get singular values, so
+    every verdict is the SVD's. The slope bound
+
+        (||D_A||_F (1 + 2 k c_A eps) + k c_A eps (||T_A||_F + ||H^-1 F'||_F))
+        (1 + 1e-12),  D_A = T_A - H^-1 F',
+
+    holds the exact path's slope above it wherever c_A <= 1e8: the first
+    term covers the relative rounding of either path, the second the
+    cancellation in T_A - H^-1 F', which leaves only rounding noise on
+    both paths at a zero-slope piece.
+    """
+    e = p.g_lt[row]
+    qa = parent.q[at]
+    c = np.einsum("mkz,mz->mk", qa, e)
+    res = e - np.einsum("mk,mkz->mz", c, qa)
+    c2 = np.einsum("mkz,mz->mk", qa, res)
+    res -= np.einsum("mk,mkz->mz", c2, qa)
+    c += c2
+    rho = np.sqrt(np.einsum("mz,mz->m", res, res))
+    k, eps = qa.shape[1] + 1, np.finfo(float).eps
+    rho_err = 4 * k * eps * np.sqrt(p.g_quads[row])
+    rc = np.einsum("mij,mj->mi", parent.r_inv[at], c)
+    tol = rank_tol(p.G)
+    with np.errstate(divide="ignore"):
+        r2 = parent.r2[at] + (np.einsum("mi,mi->m", rc, rc) + 1.0) / rho**2
+    indep = lam[0] / r2 > 4.0 * tol**2
+    band = ~indep & (np.sqrt(lam[-1]) * (rho + rho_err) >= 0.5 * tol)
+    if band.any():
+        g_band = p.G[np.column_stack([parent.sets[at[band]], row[band]])]
+        indep[band] = np.linalg.svd(g_band, compute_uv=False)[:, -1] > tol
+    if not indep.all():
+        at, row, e, qa = at[indep], row[indep], e[indep], qa[indep]
+        c, rc, rho, r2, res = c[indep], rc[indep], rho[indep], r2[indep], res[indep]
+    sets = np.column_stack([parent.sets[at], row])
+    rho = rho[:, None]
+    q = res / rho
+    w = (p.slack_map[row] - np.einsum("mk,mkx->mx", c, parent.w[at])) / rho
+    t = parent.t[at] + (q @ p.l_inv)[:, :, None] * w[:, None, :]
+    d = t - p.hi_ft
+    e2 = parent.e2[at] + p.g_quads[row]
+    c_a = e2 * r2
+    fro_t = np.sqrt(np.einsum("mij,mij->m", t, t))
+    fro_d = np.sqrt(np.einsum("mij,mij->m", d, d))
+    bound = (fro_d * (1.0 + 2 * k * c_a * eps)
+             + k * c_a * eps * (fro_t + np.linalg.norm(p.hi_ft))) * (1.0 + 1e-12)
+    if not keep:
+        return None, sets, c_a, bound
+    r_inv = np.zeros((len(sets), k, k))
+    r_inv[:, :-1, :-1] = parent.r_inv[at]
+    r_inv[:, :-1, -1] = -rc / rho
+    r_inv[:, -1, -1] = 1.0 / rho[:, 0]
+    return (_Grown(sets, np.concatenate([qa, q[:, None]], axis=1), r_inv,
+                   np.concatenate([parent.w[at], w[:, None]], axis=1), t, e2, r2),
+            sets, c_a, bound)
+
+
+def _grown_sets(p: MpQp):
+    """Every independent row set of size up to min(n_z, n_c) with its c_A
+    and slope bound, a chunk at a time: yields (sets, c_a, bound).
 
     Each independent (k-1)-row set is extended by every larger row that is
     independent alone and, from three rows on, of each member as a pair;
     every skipped set has a dependent subset, so it is dependent (see the
-    module docstring). The sets stay in lexicographic order. Slopes are
-    batched, at most _CHUNK sets at a time; realizability costs an LP, so
-    candidates are tried steepest first, ties in that order, and the first
-    realizable one is the answer. Excess at rounding level over floor is
-    not counted as a steeper piece.
+    module docstring). The sets of each size come in lexicographic order,
+    at most _CHUNK at a time, and only the sizes still to grow keep their
+    factorizations.
     """
-    p_rows = p.slack_map
-    floor = floor * (1.0 + 1e-12)
-    cond_h = np.linalg.cond(p.H)
-    candidates = []
-    sets = np.arange(p.n_c)[:, None]
-    for k in range(1, min(p.n_z, p.n_c) + 1):
-        if k > 1:
-            grow = joins[sets].all(axis=1) & (np.arange(p.n_c) > sets[:, -1:])
-            at, row = grow.nonzero()
-            sets = np.column_stack([sets[at], row])
-            if not len(sets):
-                break
-        found = []
-        for start in range(0, len(sets), _CHUNK):
-            indep, slopes, steep = _piece_slopes(
-                p, p_rows, sets[start:start + _CHUNK], floor, cond_h)
-            found.append(indep)
-            candidates.extend(zip(slopes.tolist(), steep))
-        sets = np.concatenate(found)
+    n_c, last = p.n_c, min(p.n_z, p.n_c)
+    # eigenvalues of H widened by their rounding
+    lam = np.linalg.eigvalsh(p.H)[[0, -1]]
+    lam += np.array([-1.0, 1.0]) * p.n_z * np.finfo(float).eps * lam[-1]
+    grown = _Grown(np.zeros((1, 0), dtype=int), np.zeros((1, 0, p.n_z)),
+                   np.zeros((1, 0, 0)), np.zeros((1, 0, p.n_x)),
+                   np.zeros((1, p.n_z, p.n_x)), np.zeros(1), np.zeros(1))
+    joins = np.ones((n_c, n_c), dtype=bool)
+    for k in range(1, last + 1):
+        after = np.arange(n_c) > (grown.sets[:, -1:] if k > 1 else -1)
+        at, row = (joins[grown.sets].all(axis=1) & after).nonzero()
+        children = []
+        for start in range(0, len(at), _CHUNK):
+            child, sets, c_a, bound = _piece_slopes(
+                p, grown, at[start:start + _CHUNK], row[start:start + _CHUNK],
+                lam, k < last)
+            children.append(child)
+            yield sets, c_a, bound
+        if k == last or not children:
+            return
+        grown = _Grown(*map(np.concatenate, zip(*children)))
         if k <= 2:
             # joins[i, r]: row r may extend a set holding row i; after one
             # row, when r is independent, and from two rows on, when the
             # pair {i, r} is
-            joins = np.zeros((p.n_c, p.n_c), dtype=bool)
-            joins[sets[:, 0] if k == 2 else slice(None), sets[:, -1]] = True
+            joins = np.zeros((n_c, n_c), dtype=bool)
+            joins[grown.sets[:, 0] if k == 2 else slice(None), grown.sets[:, -1]] = True
+
+
+def _steepest_piece(p: MpQp, floor: float):
+    """Steepest realizable piece steeper than floor, as (slope, 1-based rows).
+
+    A set gets its exact slope (_exact_slopes) only when c_A > 1e8 or its
+    bound from _piece_slopes reaches floor; the others cannot pass it.
+    Realizability costs an LP, so candidates are tried steepest first, ties
+    in lexicographic order, and the first realizable one is the answer.
+    Excess at rounding level over floor is not counted as a steeper piece.
+    """
+    floor = floor * (1.0 + 1e-12)
+    candidates = []
+    for sets, c_a, bound in _grown_sets(p):
+        steep = sets[(c_a > 1e8) | (bound > floor)]
+        if len(steep):
+            slopes = _exact_slopes(p, steep)
+            above = slopes > floor
+            candidates.extend(zip(slopes[above].tolist(), steep[above]))
     candidates.sort(key=lambda c: -c[0])
+    p_rows = p.slack_map
     for slope, rows in candidates:
         if _realizable(p, p_rows, rows):
             return float(slope), [int(r) + 1 for r in rows]
@@ -249,10 +389,7 @@ def _steepest_piece(p: MpQp, floor: float):
 
 def phi_default(p: MpQp) -> np.ndarray:
     """Equalizing row weights (G_j H^-1 G_j')^(-1/2)."""
-    quads = p.g_quads
-    if np.any(quads <= rank_tol(p.G)):
-        raise DegenerateRow("cannot scale rows with numerically zero curvature")
-    return 1.0 / np.sqrt(quads)
+    return 1.0 / np.sqrt(_curvatures(p))
 
 
 def glc_scaled(p: MpQp) -> GlcReport:

@@ -186,6 +186,11 @@ class MpQp:
         return solve_triangular(self._h_cho[0], self.G.T, lower=True).T
 
     @cached_property
+    def l_inv(self) -> np.ndarray:
+        """L^-1 with H = L L' (n_z x n_z), the factor behind g_lt."""
+        return solve_triangular(self._h_cho[0], np.eye(self.n_z), lower=True)
+
+    @cached_property
     def hi_ft(self) -> np.ndarray:
         """H^-1 F' (n_z x n_x)."""
         return self.h_solve(self.F.T)

@@ -125,24 +125,61 @@ def _random_origin_polytope(rng, n_v, n_c, box_half):
     return LiftedPolyhedron(rows, w, box=(-box_half, box_half))
 
 
-def _grid_sigma(lifted, n_per_axis, chunk=200_000):
+# grid points per axis in one block of _grid_sigma's search
+_BLOCK = 8
+
+
+def _facet_distances(lifted, pts) -> np.ndarray:
+    """Signed facet distances of points (m x n_v), one ufunc per axis, so
+    that a point's distances do not depend on the points beside it."""
+    slack = np.broadcast_to(lifted.w, (len(pts), lifted.n_c)).copy()
+    for a in range(lifted.n_v):
+        slack -= pts[:, a, None] * lifted.H_lift[:, a]
+    return slack / lifted.row_norms
+
+
+def _grid_sigma(lifted, n_per_axis, chunk=400):
     """Dense-grid order-statistic search, [sigma_1, sigma_2]: for i = 1, 2
     the min over grid points inside the boxed polyhedron of the (i+1)-th
     smallest facet distance. Upper-biased by at most the cell half-diagonal
-    (the statistic is 1-Lipschitz). Grid points are built one chunk at a
-    time, in C order, so memory stays at one chunk."""
+    (the statistic is 1-Lipschitz).
+
+    The grid is cut into blocks of _BLOCK points per axis, each with a grid
+    point near its middle as representative and the largest distance from
+    it to the block's points as radius. Since the statistic is 1-Lipschitz,
+    no point of a block falls below the representative's value minus the
+    radius. A block is skipped when that bound exceeds, by a 1e-12 relative
+    margin, the best inside representative's value for both orders, or when
+    a facet distance of its representative is below minus the radius (the
+    block lies outside). Every other block's points are searched, `chunk`
+    blocks at a time, so the result is the whole grid's, bitwise.
+    """
+    n_v = lifted.n_v
     axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in lifted.box]
-    shape = (n_per_axis,) * len(axes)
-    total = n_per_axis ** len(axes)
+    starts = np.arange(0, n_per_axis, _BLOCK)
+    last = np.minimum(starts + _BLOCK, n_per_axis) - 1
+    mid = (starts + last) // 2
+    cells = np.indices((len(starts),) * n_v).reshape(n_v, -1).T
+    reps = np.stack([ax[mid][cells[:, a]] for a, ax in enumerate(axes)], axis=1)
+    radius = np.sqrt(sum(
+        np.maximum(ax[mid] - ax[starts], ax[last] - ax[mid])[cells[:, a]] ** 2
+        for a, ax in enumerate(axes)))
+    kth = np.partition(_facet_distances(lifted, reps), [0, 1, 2], axis=1)[:, :3]
+    bar = kth[kth[:, 0] >= 0.0, 1:].min(axis=0, initial=np.inf)
+    margin = 1e-12 * (1.0 + np.abs(kth))
+    near = ((kth[:, 1:] - radius[:, None] - margin[:, 1:] <= bar).any(axis=1)
+            & (kth[:, 0] + radius + margin[:, 0] >= 0.0))
+    corners = starts[cells[near]]
+    offsets = np.indices((_BLOCK,) * n_v).reshape(n_v, -1).T
     best = np.full(2, np.inf)
-    for start in range(0, total, chunk):
-        cell = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
-        block = np.stack([ax[c] for ax, c in zip(axes, cell)], axis=1)
-        dist = (lifted.w[None, :] - block @ lifted.H_lift.T) / lifted.row_norms[None, :]
-        inside = np.all(dist >= 0.0, axis=1)
-        if inside.any():
-            kth = np.partition(dist[inside], [1, 2], axis=1)[:, 1:3]
-            best = np.minimum(best, kth.min(axis=0))
+    for first in range(0, len(corners), chunk):
+        idx = (corners[first:first + chunk, None, :] + offsets).reshape(-1, n_v)
+        idx = idx[np.all(idx < n_per_axis, axis=1)]
+        pts = np.stack([ax[idx[:, a]] for a, ax in enumerate(axes)], axis=1)
+        dist = _facet_distances(lifted, pts)
+        dist = dist[np.all(dist >= 0.0, axis=1)]
+        if len(dist):
+            best = np.minimum(best, np.partition(dist, [1, 2], axis=1)[:, 1:3].min(axis=0))
     return best.tolist()
 
 

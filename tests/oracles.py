@@ -22,6 +22,7 @@ from qptrim.mpqp import finite_parameter
 from qptrim.polyhedra import Polyhedron
 from qptrim.qpsolver import INFEASIBLE, OPTIMAL
 from qptrim.tolerances import FEAS, IMPLIED, rank_tol
+from qptrim.verify import _facet_distances
 
 
 def brute_force_qp(p, x, idx=None, feas_tol=1e-8, lam_tol=1e-8):
@@ -179,6 +180,28 @@ def reference_steepest_piece(p, floor, chunk=20_000):
         if _realizable(p, p_rows, rows):
             return float(slope), [int(r) + 1 for r in rows]
     return None
+
+
+# The grid search that qptrim.verify._grid_sigma ran before it skipped
+# blocks: every grid point, a chunk at a time in C order. The two must
+# return the same [sigma_1, sigma_2], bitwise.
+
+def reference_grid_sigma(lifted, n_per_axis, chunk=200_000):
+    """[sigma_1, sigma_2] over every point of the grid inside the boxed
+    polyhedron: the min of the 2nd and 3rd smallest facet distances."""
+    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in lifted.box]
+    shape = (n_per_axis,) * len(axes)
+    total = n_per_axis ** len(axes)
+    best = np.full(2, np.inf)
+    for start in range(0, total, chunk):
+        cell = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        block = np.stack([ax[c] for ax, c in zip(axes, cell)], axis=1)
+        dist = _facet_distances(lifted, block)
+        inside = np.all(dist >= 0.0, axis=1)
+        if inside.any():
+            kth = np.partition(dist[inside], [1, 2], axis=1)[:, 1:3]
+            best = np.minimum(best, kth.min(axis=0))
+    return best.tolist()
 
 
 # The sigma search that qptrim.lifted.sigma_milp ran before it cached its

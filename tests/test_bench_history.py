@@ -17,6 +17,7 @@ def test_every_entry_holds_its_commit_machine_and_quartiles():
     entries = load("BENCH_history.json")["entries"]
     bench = load("BENCHMARK.json")
     metrics = {m["name"] for m in bench["end_to_end"]}
+    layers = {m["name"] for m in bench["per_layer"]}
     workloads = {w["name"] for w in bench["workloads"]}
     assert entries
     for k, entry in enumerate(entries):
@@ -29,6 +30,14 @@ def test_every_entry_holds_its_commit_machine_and_quartiles():
         assert entry["workloads"] and set(entry["workloads"]) <= workloads
         for runs in entry["workloads"].values():
             assert runs.pop("pairs") >= 1
+            # optional: the change side's traced runs, their count and the
+            # median of each per-layer metric named
+            traced = runs.pop("traced", None)
+            if traced is not None:
+                assert traced.pop("runs") >= 1
+                assert traced and set(traced) <= layers
+                assert all(isinstance(v, (int, float)) and v >= 0
+                           for v in traced.values())
             assert set(runs) == metrics
             for q in runs.values():
                 assert set(q) == {"median", "q1", "q3"}
@@ -49,3 +58,8 @@ def test_newest_entry_is_the_recorded_ab():
             change = sides["change"]
             quartiles = {k: change[k] for k in ("median", "q1", "q3")}
             assert newest["workloads"][name][metric] == quartiles
+    for name, runs in current.get("traced", {}).items():
+        traced = dict(newest["workloads"][name]["traced"])
+        assert traced.pop("runs") == len(runs["seeds"])
+        for metric, median in traced.items():
+            assert runs["metrics"][metric]["change"]["median"] == median

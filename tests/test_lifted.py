@@ -29,7 +29,7 @@ from qptrim.trim import trim_single
 from qptrim.verify import _grid_sigma, _random_origin_polytope
 
 from helpers import random_mpqp
-from oracles import reference_sigma_milp
+from oracles import reference_grid_sigma, reference_sigma_milp
 
 
 def unit_square(box=(-2.0, 2.0)):
@@ -214,6 +214,19 @@ class TestSigmaMilp:
             L = _random_origin_polytope(rng, 2, int(rng.integers(4, 7)), 1.5)
             for i, coarse in zip((1, 2), _grid_sigma(L, 601)):
                 assert abs(sigma_milp(L, i) - coarse) <= 5e-3
+
+    def test_pruned_grid_matches_dense_grid(self):
+        # the block-pruned search returns the dense search's values exactly:
+        # the polytopes of these tests, 2-D at check 4's 601 points per axis
+        # and 3-D at 81, and 20 more from check 4's family
+        rng = np.random.default_rng(40)
+        polys = check4_polytopes() + [unit_square(), unit_square((-0.5, 1.5))]
+        polys += [_random_origin_polytope(rng, n_v, int(rng.integers(n_v + 2, 11)),
+                                          half)
+                  for n_v, half in ((2, 1.5), (3, 1.2)) for _ in range(10)]
+        for L in polys:
+            n = 601 if L.n_v == 2 else 81
+            assert _grid_sigma(L, n) == reference_grid_sigma(L, n)
 
     def test_matches_subset_lp_oracle(self):
         rng = np.random.default_rng(37)

@@ -12,6 +12,8 @@ from qptrim import verify
 from qptrim.mpqp import IndexSet, example_two_halfplanes
 from qptrim.qpsolver import qp_solve
 
+from oracles import reference_grid_sigma
+
 
 def test_result_line_and_budget():
     r = verify.CriterionResult("9", "demo-check", True, "fine", 0.5, budget=2.0)
@@ -74,11 +76,13 @@ def test_grid_sigma_chunks_match_whole_grid():
     L = verify._random_origin_polytope(rng, 3, 7, 1.2)
     axes = [np.linspace(lo, hi, 23) for lo, hi in L.box]
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    dist = (L.w[None, :] - pts @ L.H_lift.T) / L.row_norms[None, :]
+    dist = verify._facet_distances(L, pts)
     ordered = np.sort(dist[np.all(dist >= 0.0, axis=1)], axis=1)
     expected = [float(ordered[:, 1].min()), float(ordered[:, 2].min())]
-    # a chunk that divides 23^3 unevenly, so the last chunk is partial
-    assert verify._grid_sigma(L, 23, chunk=1000) == expected
+    # chunks that divide the grid unevenly, so the last one is partial; 23
+    # points per axis leave a last block of 7
+    assert reference_grid_sigma(L, 23, chunk=1000) == expected
+    assert verify._grid_sigma(L, 23, chunk=2) == expected
     assert verify._grid_sigma(L, 23) == expected
 
 
